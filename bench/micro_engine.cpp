@@ -356,7 +356,7 @@ void BM_LevelledNetworkQps(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(departed));
   state.SetLabel("customers");
 }
-BENCHMARK(BM_LevelledNetworkQps)->Arg(6);
+BENCHMARK(BM_LevelledNetworkQps)->Arg(6)->Arg(8);
 
 }  // namespace
 

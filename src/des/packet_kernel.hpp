@@ -172,6 +172,22 @@ class Ring {
     --count_;
   }
 
+  /// Inserts `value` after every element that `less` does not order after
+  /// it, scanning from the back.  On a ring kept sorted this keeps it
+  /// sorted, equal keys in insertion order (std::multimap's order); it is
+  /// O(1) when values arrive in key order, as the PS finish tags of the
+  /// levelled network almost always do.
+  template <typename Less>
+  void insert_sorted(T value, Less less) {
+    if (count_ == buf_.size()) grow();
+    std::size_t i = count_;
+    for (; i > 0 && less(value, buf_[wrap(head_ + i - 1)]); --i) {
+      buf_[wrap(head_ + i)] = buf_[wrap(head_ + i - 1)];
+    }
+    buf_[wrap(head_ + i)] = value;
+    ++count_;
+  }
+
   /// Removes the i-th element from the front, shifting later elements
   /// toward the front (only the random-service ablation uses this).
   void erase(std::size_t i) {

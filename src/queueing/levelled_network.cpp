@@ -8,7 +8,7 @@
 namespace routesim {
 
 LevelledNetwork::LevelledNetwork(LevelledNetworkConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), events_(2 * config_.servers.size()) {
   const auto n = config_.servers.size();
   RS_EXPECTS_MSG(n > 0, "network must have at least one server");
   servers_.resize(n);
@@ -44,7 +44,7 @@ void LevelledNetwork::schedule_next_external(double now, std::uint32_t server) {
   const double rate = config_.servers[server].external_rate;
   RS_DASSERT(rate > 0.0);
   const double gap = sample_exponential(servers_[server].arrival_rng, rate);
-  events_.push(now + gap, Ev{EventKind::kExternalArrival, server, 0});
+  events_.schedule(arrival_slot(server), now + gap);
 }
 
 void LevelledNetwork::enter_server(double now, std::uint32_t server,
@@ -55,12 +55,14 @@ void LevelledNetwork::enter_server(double now, std::uint32_t server,
   if (config_.discipline == Discipline::kFifo) {
     state.fifo.push_back(customer);
     if (state.fifo.size() == 1) {
-      events_.push(now + 1.0 / config_.servers[server].service_rate,
-                   Ev{EventKind::kFifoDone, server, 0});
+      events_.schedule(service_slot(server),
+                       now + 1.0 / config_.servers[server].service_rate);
     }
   } else {
     ps_update_virtual(now, server);
-    state.ps_active.emplace(state.virtual_time + 1.0, customer);
+    state.ps_active.insert_sorted(
+        PsEntry{state.virtual_time + 1.0, customer},
+        [](const PsEntry& a, const PsEntry& b) { return a.finish_vt < b.finish_vt; });
     ps_reschedule(now, server);
   }
 }
@@ -77,13 +79,14 @@ void LevelledNetwork::ps_update_virtual(double now, std::uint32_t server) {
 
 void LevelledNetwork::ps_reschedule(double now, std::uint32_t server) {
   auto& state = servers_[server];
-  ++state.ps_stamp;
-  if (state.ps_active.empty()) return;
-  const double gap = (state.ps_active.begin()->first - state.virtual_time) *
+  if (state.ps_active.empty()) {
+    events_.cancel(service_slot(server));
+    return;
+  }
+  const double gap = (state.ps_active.front().finish_vt - state.virtual_time) *
                      static_cast<double>(state.ps_active.size()) /
                      config_.servers[server].service_rate;
-  events_.push(now + (gap > 0.0 ? gap : 0.0),
-               Ev{EventKind::kPsDone, server, state.ps_stamp});
+  events_.schedule(service_slot(server), now + (gap > 0.0 ? gap : 0.0));
 }
 
 void LevelledNetwork::on_network_departure(double now, std::uint32_t customer) {
@@ -144,41 +147,31 @@ void LevelledNetwork::run(double warmup, double horizon) {
     }
     now_ = t;
 
-    const auto& payload = event.payload;
-    switch (payload.kind) {
-      case EventKind::kExternalArrival: {
-        schedule_next_external(t, payload.server);
-        const std::uint32_t customer = customers_.allocate();
-        customers_[customer].arrival_time = t;
-        if (t >= warmup) ++server_stats_[payload.server].external_arrivals;
-        stats_.count_arrival(t);
-        enter_server(t, payload.server, customer);
-        break;
+    const std::uint32_t server = event.slot / 2;
+    if (event.slot == arrival_slot(server)) {
+      schedule_next_external(t, server);
+      const std::uint32_t customer = customers_.allocate();
+      customers_[customer].arrival_time = t;
+      if (t >= warmup) ++server_stats_[server].external_arrivals;
+      stats_.count_arrival(t);
+      enter_server(t, server, customer);
+    } else if (config_.discipline == Discipline::kFifo) {
+      auto& state = servers_[server];
+      RS_DASSERT(!state.fifo.empty());
+      const std::uint32_t customer = state.fifo.pop_front();
+      if (!state.fifo.empty()) {
+        events_.schedule(service_slot(server),
+                         t + 1.0 / config_.servers[server].service_rate);
       }
-      case EventKind::kFifoDone: {
-        auto& state = servers_[payload.server];
-        RS_DASSERT(!state.fifo.empty());
-        const std::uint32_t customer = state.fifo.pop_front();
-        if (!state.fifo.empty()) {
-          events_.push(t + 1.0 / config_.servers[payload.server].service_rate,
-                       Ev{EventKind::kFifoDone, payload.server, 0});
-        }
-        complete_service(t, payload.server, customer);
-        break;
-      }
-      case EventKind::kPsDone: {
-        auto& state = servers_[payload.server];
-        if (payload.stamp != state.ps_stamp) break;  // superseded schedule
-        RS_DASSERT(!state.ps_active.empty());
-        ps_update_virtual(t, payload.server);
-        const auto it = state.ps_active.begin();
-        const std::uint32_t customer = it->second;
-        state.virtual_time = it->first;  // absorb rounding drift
-        state.ps_active.erase(it);
-        ps_reschedule(t, payload.server);
-        complete_service(t, payload.server, customer);
-        break;
-      }
+      complete_service(t, server, customer);
+    } else {
+      auto& state = servers_[server];
+      RS_DASSERT(!state.ps_active.empty());
+      ps_update_virtual(t, server);
+      const PsEntry done = state.ps_active.pop_front();
+      state.virtual_time = done.finish_vt;  // absorb rounding drift
+      ps_reschedule(t, server);
+      complete_service(t, server, done.customer);
     }
   }
 

@@ -15,9 +15,9 @@
 /// Measurement accounting (delay, population, occupancy trackers, harvest)
 /// is the shared KernelStats of des/packet_kernel.hpp — the same path the
 /// packet-level simulators use — so Q's metrics are directly comparable
-/// with the direct simulation's.  The customer pool and the FIFO queues
-/// reuse the kernel's Pool/FifoRing storage as well; only the PS virtual
-/// time and the coupled routing uniforms are specific to this class.
+/// with the direct simulation's.  The customer pool and the server queues
+/// reuse the kernel's Pool/Ring storage as well; only the PS virtual time
+/// and the coupled routing uniforms are specific to this class.
 ///
 /// **Sample-path coupling.**  The dominance results (Lemmas 9-10, Prop. 11)
 /// compare FIFO and PS *on the same sample path ω*: identical external
@@ -27,12 +27,30 @@
 /// stream derive_stream(seed, s), and the k-th service completion at server
 /// s consumes the *stateless* uniform U(seed, s, k) — so two runs with the
 /// same seed but different disciplines see the same ω.
+///
+/// **Event set.**  Every server s owns two slots of an IndexedEventSet:
+/// slot 2s holds its next external arrival and slot 2s+1 its next service
+/// completion (the head-of-line FIFO customer, or the PS customer with the
+/// least finish tag).  A PS arrival or departure changes the projected
+/// completion, and the slot is re-keyed in place, so no superseded event is
+/// ever popped.  The `seq` tie-break is drawn from one counter each time a
+/// slot is scheduled or re-keyed — at exactly the moments a plain event
+/// queue would push — so events with equal times fire in the order of
+/// their latest scheduling, a total order independent of the heap layout.
+///
+/// **PS queues.**  Each PS server keeps its customers in a Ring sorted by
+/// finish tag (the virtual time at which the customer's unit of work is
+/// done).  Every customer brings the same work, so tags arrive in order
+/// and an insert from the back is O(1); a tag that rounding drift puts
+/// below its predecessor moves past strictly larger tags only, so equal
+/// tags leave in arrival order.  Departures pop the front.  A ring grows
+/// only when its server's population reaches a new peak, so the PS path
+/// does not allocate per customer.
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "des/event_queue.hpp"
+#include "des/indexed_event_set.hpp"
 #include "des/packet_kernel.hpp"
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
@@ -143,12 +161,10 @@ class LevelledNetwork {
   }
 
  private:
-  enum class EventKind : std::uint8_t { kExternalArrival, kFifoDone, kPsDone };
-
-  struct Ev {
-    EventKind kind{};
-    std::uint32_t server = 0;
-    std::uint64_t stamp = 0;  ///< PS reschedule generation (stale-event filter)
+  /// One PS customer: the virtual time at which its work is done.
+  struct PsEntry {
+    double finish_vt = 0.0;
+    std::uint32_t customer = 0;
   };
 
   struct Customer {
@@ -158,14 +174,20 @@ class LevelledNetwork {
   struct ServerState {
     // FIFO: customers in arrival order; front is in service.
     FifoRing fifo;
-    // PS: active customers keyed by the virtual time at which they finish.
-    std::multimap<double, std::uint32_t> ps_active;
+    // PS: active customers sorted by finish tag (ties in arrival order).
+    Ring<PsEntry> ps_active;
     double virtual_time = 0.0;
     double last_update = 0.0;
-    std::uint64_t ps_stamp = 0;
     std::uint64_t completions = 0;  ///< routing-decision counter (the "k")
     Rng arrival_rng{0};
   };
+
+  static constexpr std::uint32_t arrival_slot(std::uint32_t server) noexcept {
+    return 2 * server;
+  }
+  static constexpr std::uint32_t service_slot(std::uint32_t server) noexcept {
+    return 2 * server + 1;
+  }
 
   void enter_server(double now, std::uint32_t server, std::uint32_t customer);
   void complete_service(double now, std::uint32_t server, std::uint32_t customer);
@@ -177,7 +199,7 @@ class LevelledNetwork {
   LevelledNetworkConfig config_;
   std::vector<ServerState> servers_;
   Pool<Customer> customers_;
-  EventQueue<Ev> events_;
+  IndexedEventSet events_;
 
   double warmup_ = 0.0;
   double now_ = 0.0;

@@ -270,6 +270,57 @@ TEST(KernelParity, NetworkQFifoAndPs) {
   }
 }
 
+// Network R (d=4) and the Lemma 9 network G~, captured before the levelled
+// network's stale-filtered event queue and per-server multimaps were
+// replaced by an indexed event set and sorted rings: they hold the PS
+// reschedule order, the checkpoint counts and per-server tracking on two
+// more topologies.
+TEST(KernelParity, NetworkRFifoAndPs) {
+  const std::vector<std::vector<double>> pinned = {
+      {0x1.5e354f9febf73p+2, 0x1.6368431a52d86p+6, 0x1.e8p+6, 0x1.8cp+6,
+       0x1.fa9p+12, 0x1.fa8p+12, 0x1.035c28f5c28f6p+4, 0x1.7ap+10,
+       0x1.f1ep+12, 0x1.2cd1c0375a172p-1, 0x1.dap+7},
+      {0x1.02fb6d0d38e43p+3, 0x1.07a9d406535b2p+7, 0x1.7p+7, 0x1p+7,
+       0x1.fbap+12, 0x1.fa8p+12, 0x1.03e76c8b43958p+4, 0x1.71cp+10,
+       0x1.eefp+12, 0x1.8df291d26017ap-1, 0x1.dcp+7}};
+  const Discipline disciplines[] = {Discipline::kFifo, Discipline::kPs};
+  for (int which = 0; which < 2; ++which) {
+    auto config = make_butterfly_network_r(4, 1.0, 0.5, disciplines[which], 23);
+    config.track_per_server = true;
+    LevelledNetwork net(config);
+    net.set_checkpoints({100.0, 300.0, 500.0});
+    net.run(50.0, 550.0);
+    expect_exact(
+        {net.delay().mean(), net.time_avg_population(), net.peak_population(),
+         net.final_population(),
+         static_cast<double>(net.departures_in_window()),
+         static_cast<double>(net.arrivals_in_window()), net.throughput(),
+         static_cast<double>(net.checkpoint_departures()[0]),
+         static_cast<double>(net.checkpoint_departures()[2]),
+         net.server_stats()[40].mean_occupancy,
+         static_cast<double>(net.server_stats()[40].total_arrivals)},
+        pinned[which]);
+  }
+}
+
+TEST(KernelParity, Lemma9NetworkPs) {
+  LevelledNetwork net(
+      make_lemma9_network(0.45, 0.55, 0.15, 0.5, 0.6, Discipline::kPs, 29));
+  net.set_checkpoints({500.0, 2000.0, 5000.0});
+  net.run(100.0, 5100.0);
+  expect_exact(
+      {net.delay().mean(), net.time_avg_population(), net.peak_population(),
+       net.final_population(),
+       static_cast<double>(net.departures_in_window()), net.throughput(),
+       static_cast<double>(net.checkpoint_departures()[0]),
+       static_cast<double>(net.checkpoint_departures()[1]),
+       static_cast<double>(net.checkpoint_departures()[2]),
+       static_cast<double>(net.server_stats()[2].total_arrivals)},
+      {0x1.bcaf658b094ffp+1, 0x1.f3978b4747fabp+1, 0x1.5p+4, 0x1.4p+2,
+       0x1.5f1p+12, 0x1.1f972474538efp+0, 0x1.02p+9, 0x1.198p+11,
+       0x1.5dep+12, 0x1.a26p+11});
+}
+
 // The fault-injection subsystem must be invisible at fault_rate = 0: with a
 // fault policy attached but every rate zero, routing goes through the
 // fault-aware code path (FaultModel configured, per-hop liveness checks,

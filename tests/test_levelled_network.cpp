@@ -1,15 +1,23 @@
 // Tests for the levelled-network simulator: validation, single-queue
-// sanity against M/D/1 / PS closed forms, and the Lemma 9 dominance on the
+// sanity against M/D/1 / PS closed forms, a single PS server against the
+// independent ps_departure_times oracle, and the Lemma 9 dominance on the
 // three-server network G.
 
 #include "queueing/levelled_network.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <vector>
+
 #include "core/equivalence.hpp"
 #include "queueing/analytic.hpp"
+#include "queueing/ps_server.hpp"
 #include "stats/little.hpp"
 #include "util/assert.hpp"
+#include "util/distributions.hpp"
+#include "util/rng.hpp"
 
 namespace routesim {
 namespace {
@@ -113,6 +121,97 @@ TEST(LevelledNetwork, RoutingSplitMatchesProbabilities) {
   const double total = static_cast<double>(stats[0].departures);
   EXPECT_NEAR(static_cast<double>(stats[1].total_arrivals) / total, 0.25, 0.01);
   EXPECT_NEAR(static_cast<double>(stats[2].total_arrivals) / total, 0.5, 0.01);
+}
+
+// The simulator's PS path (indexed event set, sorted ring, virtual-time
+// updates at every event) must reproduce the sample path of the oracle in
+// queueing/ps_server.cpp, which keeps its own std::multimap.  Server 0's
+// external arrivals are rebuilt from its dedicated stream
+// derive_stream(seed, 0), exactly as the simulator draws them.
+TEST(LevelledNetwork, SinglePsServerMatchesDepartureOracle) {
+  struct Case {
+    double service_rate, arrival_rate;
+    std::uint64_t seed;
+  };
+  const double warmup = 200.0;
+  const double horizon = 20200.0;
+  for (const Case& c : {Case{1.0, 0.8, 61}, Case{2.5, 2.0, 62}, Case{1.0, 0.95, 63}}) {
+    auto config = single_server(c.arrival_rate, Discipline::kPs, c.seed);
+    config.servers[0].service_rate = c.service_rate;
+    LevelledNetwork net(config);
+    net.run(warmup, horizon);
+
+    Rng rng(derive_stream(c.seed, 0));
+    std::vector<double> arrivals;
+    for (double t = sample_exponential(rng, c.arrival_rate); t <= horizon;
+         t += sample_exponential(rng, c.arrival_rate)) {
+      arrivals.push_back(t);
+    }
+    const std::vector<double> departures = ps_departure_times(arrivals, c.service_rate);
+    double sum = 0.0;
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      if (arrivals[i] >= warmup && departures[i] <= horizon) {
+        sum += departures[i] - arrivals[i];
+        ++count;
+      }
+    }
+    ASSERT_GT(count, 1000u);
+    EXPECT_EQ(net.delay().count(), count) << "seed " << c.seed;
+    const double oracle_mean = sum / static_cast<double>(count);
+    EXPECT_NEAR(net.delay().mean(), oracle_mean, 1e-9 * oracle_mean) << "seed " << c.seed;
+  }
+}
+
+// The PS queue is a Ring kept sorted by finish tag with insert_sorted and
+// the simulator's finish-tag comparator.  Customers that enter at an equal
+// virtual time must leave in the order they entered, and a tag that
+// rounding drift puts below its predecessor must move past strictly larger
+// tags only — both exactly as the oracle's std::multimap orders them.
+TEST(LevelledNetwork, PsQueueOrdersEqualTagsByEntry) {
+  struct Tagged {
+    double finish_vt = 0.0;
+    std::uint32_t customer = 0;
+  };
+  const auto less = [](const Tagged& a, const Tagged& b) {
+    return a.finish_vt < b.finish_vt;
+  };
+  Ring<Tagged> ring;
+  std::multimap<double, std::uint32_t> reference;
+  Rng rng(64);
+  double virtual_time = 0.0;
+  std::uint32_t next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (reference.empty() || rng.bernoulli(0.55)) {
+      // Mostly in-order tags, with runs of equal tags and rare inversions.
+      double tag = virtual_time + 1.0;
+      const double u = rng.uniform();
+      if (u < 0.3) {
+        virtual_time += 0.25;
+      } else if (u < 0.35) {
+        tag = std::nextafter(tag, 0.0);
+      }
+      ring.insert_sorted(Tagged{tag, next}, less);
+      reference.emplace(tag, next);
+      ++next;
+    } else {
+      const Tagged front = ring.pop_front();
+      const auto it = reference.begin();
+      ASSERT_EQ(front.finish_vt, it->first) << "step " << step;
+      ASSERT_EQ(front.customer, it->second) << "step " << step;
+      reference.erase(it);
+    }
+    ASSERT_EQ(ring.size(), reference.size());
+  }
+
+  // Three customers entering at one virtual time leave in entry order.
+  Ring<Tagged> tie;
+  for (std::uint32_t customer : {7u, 3u, 5u}) tie.insert_sorted(Tagged{2.0, customer}, less);
+  tie.insert_sorted(Tagged{1.5, 9u}, less);
+  EXPECT_EQ(tie.pop_front().customer, 9u);
+  EXPECT_EQ(tie.pop_front().customer, 7u);
+  EXPECT_EQ(tie.pop_front().customer, 3u);
+  EXPECT_EQ(tie.pop_front().customer, 5u);
 }
 
 TEST(LevelledNetwork, CoupledUniformIsStateless) {

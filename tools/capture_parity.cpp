@@ -358,5 +358,38 @@ int main() {
           net.server_stats()[2].mean_occupancy,
           static_cast<double>(net.server_stats()[2].total_arrivals)});
   }
+  // Network R and the Lemma 9 network, captured before the levelled
+  // network's event set and PS queues were rewritten: they pin the PS
+  // reschedule order on a second topology and on a three-server network.
+  for (const auto discipline : {Discipline::kFifo, Discipline::kPs}) {
+    auto config = make_butterfly_network_r(4, 1.0, 0.5, discipline, 23);
+    config.track_per_server = true;
+    LevelledNetwork net(config);
+    net.set_checkpoints({100.0, 300.0, 500.0});
+    net.run(50.0, 550.0);
+    emit(discipline == Discipline::kFifo ? "network_r_fifo" : "network_r_ps",
+         {net.delay().mean(), net.time_avg_population(),
+          net.peak_population(), net.final_population(),
+          static_cast<double>(net.departures_in_window()),
+          static_cast<double>(net.arrivals_in_window()), net.throughput(),
+          static_cast<double>(net.checkpoint_departures()[0]),
+          static_cast<double>(net.checkpoint_departures()[2]),
+          net.server_stats()[40].mean_occupancy,
+          static_cast<double>(net.server_stats()[40].total_arrivals)});
+  }
+  {
+    LevelledNetwork net(
+        make_lemma9_network(0.45, 0.55, 0.15, 0.5, 0.6, Discipline::kPs, 29));
+    net.set_checkpoints({500.0, 2000.0, 5000.0});
+    net.run(100.0, 5100.0);
+    emit("lemma9_ps",
+         {net.delay().mean(), net.time_avg_population(),
+          net.peak_population(), net.final_population(),
+          static_cast<double>(net.departures_in_window()), net.throughput(),
+          static_cast<double>(net.checkpoint_departures()[0]),
+          static_cast<double>(net.checkpoint_departures()[1]),
+          static_cast<double>(net.checkpoint_departures()[2]),
+          static_cast<double>(net.server_stats()[2].total_arrivals)});
+  }
   return 0;
 }
