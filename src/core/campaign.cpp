@@ -8,7 +8,6 @@
 #include <exception>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -18,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/number_codec.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 
@@ -148,20 +148,24 @@ std::size_t ResultCache::size() const {
 namespace {
 
 /// JSON has no NaN/Inf literals; emit null for them.
-void json_number(std::ostringstream& os, double value) {
+void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
-    os << "null";
+    out += "null";
   } else {
-    os << fmt_shortest(value);
+    append_shortest(out, value);
   }
 }
 
-void json_interval(std::ostringstream& os, const char* name,
-                   const ConfidenceInterval& interval) {
-  os << "\"" << name << "_mean\":";
-  json_number(os, interval.mean);
-  os << ",\"" << name << "_half_width\":";
-  json_number(os, interval.half_width);
+void append_json_interval(std::string& out, const char* name,
+                          const ConfidenceInterval& interval) {
+  out += '"';
+  out += name;
+  out += "_mean\":";
+  append_json_number(out, interval.mean);
+  out += ",\"";
+  out += name;
+  out += "_half_width\":";
+  append_json_number(out, interval.half_width);
 }
 
 }  // namespace
@@ -196,46 +200,56 @@ void JsonlSink::on_cell(const CellResult& cell) {
 std::string JsonlSink::to_json(const std::string& campaign,
                                const CellResult& cell) {
   const RunResult& r = cell.result;
-  std::ostringstream os;
-  os << "{\"campaign\":\"" << json_escape(campaign) << "\",\"cell\":"
-     << cell.index << ",\"label\":\"" << json_escape(cell.label)
-     << "\",\"scenario\":\"" << json_escape(cell.scenario.to_string())
-     << "\",\"from_cache\":" << (cell.from_cache ? "true" : "false")
-     << ",\"from_store\":" << (cell.from_store ? "true" : "false")
-     << ",\"tier\":\"" << cell.tier() << "\",\"wall_time_s\":";
-  json_number(os, cell.wall_time_s);
-  os << ",\"rho\":";
-  json_number(os, r.rho);
-  os << ',';
-  json_interval(os, "delay", r.delay);
-  os << ',';
-  json_interval(os, "population", r.population);
-  os << ',';
-  json_interval(os, "throughput", r.throughput);
-  os << ",\"mean_hops\":";
-  json_number(os, r.mean_hops);
-  os << ",\"max_little_error\":";
-  json_number(os, r.max_little_error);
-  os << ",\"mean_final_backlog\":";
-  json_number(os, r.mean_final_backlog);
-  os << ",\"has_bounds\":" << (r.has_bounds ? "true" : "false");
+  std::string out;
+  out.reserve(1024);
+  out += "{\"campaign\":\"";
+  append_json_escaped(out, campaign);
+  out += "\",\"cell\":";
+  append_integer(out, cell.index);
+  out += ",\"label\":\"";
+  append_json_escaped(out, cell.label);
+  out += "\",\"scenario\":\"";
+  append_json_escaped(out, cell.scenario.to_string());
+  out += cell.from_cache ? "\",\"from_cache\":true" : "\",\"from_cache\":false";
+  out += cell.from_store ? ",\"from_store\":true" : ",\"from_store\":false";
+  out += ",\"tier\":\"";
+  out += cell.tier();
+  out += "\",\"wall_time_s\":";
+  append_json_number(out, cell.wall_time_s);
+  out += ",\"rho\":";
+  append_json_number(out, r.rho);
+  out += ',';
+  append_json_interval(out, "delay", r.delay);
+  out += ',';
+  append_json_interval(out, "population", r.population);
+  out += ',';
+  append_json_interval(out, "throughput", r.throughput);
+  out += ",\"mean_hops\":";
+  append_json_number(out, r.mean_hops);
+  out += ",\"max_little_error\":";
+  append_json_number(out, r.max_little_error);
+  out += ",\"mean_final_backlog\":";
+  append_json_number(out, r.mean_final_backlog);
+  out += r.has_bounds ? ",\"has_bounds\":true" : ",\"has_bounds\":false";
   if (r.has_bounds) {
-    os << ",\"lower_bound\":";
-    json_number(os, r.lower_bound);
-    os << ",\"upper_bound\":";
-    json_number(os, r.upper_bound);
+    out += ",\"lower_bound\":";
+    append_json_number(out, r.lower_bound);
+    out += ",\"upper_bound\":";
+    append_json_number(out, r.upper_bound);
   }
-  os << ",\"extras\":{";
+  out += ",\"extras\":{";
   for (std::size_t i = 0; i < r.extras.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\"" << json_escape(r.extras[i].first)
-       << "\":{\"mean\":";
-    json_number(os, r.extras[i].second.mean);
-    os << ",\"half_width\":";
-    json_number(os, r.extras[i].second.half_width);
-    os << '}';
+    if (i != 0) out += ',';
+    out += '"';
+    append_json_escaped(out, r.extras[i].first);
+    out += "\":{\"mean\":";
+    append_json_number(out, r.extras[i].second.mean);
+    out += ",\"half_width\":";
+    append_json_number(out, r.extras[i].second.half_width);
+    out += '}';
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
+  return out;
 }
 
 // ------------------------------------------------------------------ engine

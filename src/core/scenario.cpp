@@ -1,8 +1,9 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -324,20 +325,6 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-std::string fmt_shortest(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0.0;
-  for (const int precision : {1, 3, 6, 9, 12, 15}) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value) {
-      return candidate;
-    }
-  }
-  return buffer;
-}
-
 void Scenario::set(const std::string& key, const std::string& value) {
   if (key == "d") {
     d = parse_int(key, value);
@@ -602,78 +589,95 @@ const std::vector<std::string>& Scenario::known_set_keys() {
   return keys;
 }
 
-std::vector<std::pair<std::string, std::string>> Scenario::to_key_values() const {
-  std::vector<std::pair<std::string, std::string>> pairs{
-      {"d", std::to_string(d)},
-      {"topology", topology},
-      {"torus_dims", torus_dims},
-      {"lambda", fmt_shortest(lambda)},
-      {"p", fmt_shortest(p)},
-      {"tau", fmt_shortest(tau)},
-      {"discipline", discipline == Discipline::kPs ? "ps" : "fifo"},
-      {"workload", workload},
+namespace {
+
+/// The one list of every non-derived field in textual order: calls
+/// `emit(key, value)` once per pair.  `value` may view scratch storage
+/// that is valid only during that call.
+template <class Emit>
+void for_each_key_value(const Scenario& s, Emit&& emit) {
+  char number[kShortestChars];
+  const auto real = [&](double value) {
+    return std::string_view(
+        number, static_cast<std::size_t>(shortest_chars(number, value) - number));
   };
-  if (!trace_file.empty()) {
-    // Right after workload (the key it refines); omitted when empty so
-    // generated-trace and non-trace scenarios stay uncluttered.
-    pairs.emplace_back("trace_file", trace_file);
-  }
-  if (!ring_chords.empty()) {
-    // After topology, before the load keys; omitted when empty (like
-    // mask_pmf) so plain-ring and non-ring scenarios stay uncluttered.
-    pairs.insert(pairs.begin() + 2, {"ring_chords", ring_chords});
-  }
-  if (rho_target.has_value()) {
-    // After lambda, so parse() replays set("lambda") (clearing any stale
-    // target) before set("rho") re-arms the deferred target — the pair
-    // round-trips exactly.
-    const auto lambda_at = std::find_if(
-        pairs.begin(), pairs.end(),
-        [](const auto& pair) { return pair.first == "lambda"; });
-    pairs.insert(lambda_at + 1, {"rho", fmt_shortest(*rho_target)});
-  }
-  if (!mask_pmf.empty()) {
+  const auto integer = [&](auto value) {
+    return std::string_view(
+        number, static_cast<std::size_t>(
+                    std::to_chars(number, number + sizeof number, value).ptr - number));
+  };
+  emit("d", integer(s.d));
+  emit("topology", s.topology);
+  // After topology, before the load keys; omitted when empty (like
+  // mask_pmf) so plain-ring and non-ring scenarios stay uncluttered.
+  if (!s.ring_chords.empty()) emit("ring_chords", s.ring_chords);
+  emit("torus_dims", s.torus_dims);
+  emit("lambda", real(s.lambda));
+  // After lambda, so parse() replays set("lambda") (clearing any stale
+  // target) before set("rho") re-arms the deferred target — the pair
+  // round-trips exactly.
+  if (s.rho_target.has_value()) emit("rho", real(*s.rho_target));
+  emit("p", real(s.p));
+  emit("tau", real(s.tau));
+  emit("discipline", s.discipline == Discipline::kPs ? "ps" : "fifo");
+  emit("workload", s.workload);
+  // Right after workload (the key it refines); omitted when empty so
+  // generated-trace and non-trace scenarios stay uncluttered.
+  if (!s.trace_file.empty()) emit("trace_file", s.trace_file);
+  if (!s.mask_pmf.empty()) {
     // Inline CSV form; the entries are already normalised, so the round
     // trip through set() is exact.
     std::string csv;
-    for (const double probability : mask_pmf) {
+    for (const double probability : s.mask_pmf) {
       if (!csv.empty()) csv += ',';
-      csv += fmt_shortest(probability);
+      append_shortest(csv, probability);
     }
-    pairs.emplace_back("mask_pmf", std::move(csv));
+    emit("mask_pmf", csv);
   }
-  const std::vector<std::pair<std::string, std::string>> rest{
-      {"permutation", permutation},
-      {"hotspot_frac", fmt_shortest(hotspot_frac)},
-      {"fanout", std::to_string(fanout)},
-      {"unicast_baseline", unicast_baseline ? "1" : "0"},
-      {"buffers", std::to_string(buffer_capacity)},
-      {"fault_rate", fmt_shortest(fault_rate)},
-      {"node_fault_rate", fmt_shortest(node_fault_rate)},
-      {"fault_mtbf", fmt_shortest(fault_mtbf)},
-      {"fault_mttr", fmt_shortest(fault_mttr)},
-      {"storm_rate", fmt_shortest(storm_rate)},
-      {"storm_radius", std::to_string(storm_radius)},
-      {"storm_duration", fmt_shortest(storm_duration)},
-      {"fault_policy", fault_policy},
-      {"ttl", std::to_string(ttl)},
-      {"warmup", fmt_shortest(window.warmup)},
-      {"horizon", fmt_shortest(window.horizon)},
-      {"measure", fmt_shortest(measure)},
-      {"reps", std::to_string(plan.replications)},
-      {"seed", std::to_string(plan.base_seed)},
-      {"threads", std::to_string(plan.threads)},
-      {"backend", backend},
-  };
-  pairs.insert(pairs.end(), rest.begin(), rest.end());
+  emit("permutation", s.permutation);
+  emit("hotspot_frac", real(s.hotspot_frac));
+  emit("fanout", integer(s.fanout));
+  emit("unicast_baseline", s.unicast_baseline ? "1" : "0");
+  emit("buffers", integer(s.buffer_capacity));
+  emit("fault_rate", real(s.fault_rate));
+  emit("node_fault_rate", real(s.node_fault_rate));
+  emit("fault_mtbf", real(s.fault_mtbf));
+  emit("fault_mttr", real(s.fault_mttr));
+  emit("storm_rate", real(s.storm_rate));
+  emit("storm_radius", integer(s.storm_radius));
+  emit("storm_duration", real(s.storm_duration));
+  emit("fault_policy", s.fault_policy);
+  emit("ttl", integer(s.ttl));
+  emit("warmup", real(s.window.warmup));
+  emit("horizon", real(s.window.horizon));
+  emit("measure", real(s.measure));
+  emit("reps", integer(s.plan.replications));
+  emit("seed", integer(s.plan.base_seed));
+  emit("threads", integer(s.plan.threads));
+  emit("backend", s.backend);
+}
+
+}  // namespace
+
+std::vector<std::pair<std::string, std::string>> Scenario::to_key_values() const {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for_each_key_value(*this, [&](std::string_view key, std::string_view value) {
+    pairs.emplace_back(key, value);
+  });
   return pairs;
 }
 
 std::string Scenario::to_string() const {
-  std::ostringstream os;
-  os << scheme;
-  for (const auto& [key, value] : to_key_values()) os << ' ' << key << '=' << value;
-  return os.str();
+  std::string out;
+  out.reserve(512);
+  out += scheme;
+  for_each_key_value(*this, [&](std::string_view key, std::string_view value) {
+    out += ' ';
+    out += key;
+    out += '=';
+    out += value;
+  });
+  return out;
 }
 
 Scenario Scenario::parse(const std::vector<std::string>& args) {
@@ -692,6 +696,24 @@ Scenario Scenario::parse(const std::vector<std::string>& args) {
     scenario.set(args[i].substr(0, eq), args[i].substr(eq + 1));
   }
   return scenario;
+}
+
+Scenario Scenario::parse_text(std::string_view text) {
+  std::vector<std::string> tokens;
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  for (std::size_t i = 0; i < text.size();) {
+    if (is_space(text[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < text.size() && !is_space(text[i])) ++i;
+    tokens.emplace_back(text.substr(start, i - start));
+  }
+  if (tokens.empty()) throw ScenarioError("empty scenario string");
+  return parse(tokens);
 }
 
 const ConfidenceInterval* RunResult::extra(const std::string& name) const {

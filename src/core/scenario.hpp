@@ -21,6 +21,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "core/experiment.hpp"
 #include "queueing/levelled_network.hpp"
 #include "stats/ci.hpp"
+#include "util/number_codec.hpp"  // fmt_shortest: the number form of to_string()
 #include "workload/destination.hpp"
 
 namespace routesim {
@@ -313,15 +315,22 @@ struct Scenario {
 
   /// Every non-derived field as `key=value` pairs; parse(scheme + these)
   /// reconstructs the scenario exactly.  mask_pmf is emitted as an inline
-  /// comma-separated list when non-empty (omitted when empty).
+  /// comma-separated list when non-empty (omitted when empty).  Real
+  /// values are in fmt_shortest() form (util/number_codec.hpp).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> to_key_values()
       const;
 
-  /// "scheme key=value ..." one-line form of to_key_values().
+  /// "scheme key=value ..." one-line form of to_key_values().  This text
+  /// is the result store's key, so its bytes are an on-disk format.
   [[nodiscard]] std::string to_string() const;
 
   /// Parses {"scheme", "key=value", ...} (the CLI argument form).
   static Scenario parse(const std::vector<std::string>& args);
+
+  /// Parses the one-line "scheme key=value ..." form (tokens separated by
+  /// whitespace; to_string() output reads back exactly).  Throws
+  /// ScenarioError on empty text and everything parse() rejects.
+  static Scenario parse_text(std::string_view text);
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
@@ -361,11 +370,6 @@ struct RunResult {
 /// per-run pool for equal seeds and plans.  Throws ScenarioError for an
 /// unknown scheme.
 [[nodiscard]] RunResult run(const Scenario& scenario);
-
-/// Shortest decimal form of `value` that round-trips through stod — the
-/// formatting used by the textual scenario forms, campaign cell labels and
-/// the JSONL sink.
-[[nodiscard]] std::string fmt_shortest(double value);
 
 // ----------------------------------------------------------------- sweeps
 

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/number_codec.hpp"
 
 namespace routesim::serve {
 
@@ -45,14 +46,6 @@ struct ServeMetrics {
   }
 };
 
-Scenario scenario_from_text_or_throw(const std::string& text) {
-  std::istringstream words(text);
-  std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
-  if (tokens.empty()) throw ScenarioError("empty scenario string");
-  return Scenario::parse(tokens);
-}
-
 }  // namespace
 
 EngineOptions QueryService::engine_options() {
@@ -66,7 +59,7 @@ EngineOptions QueryService::engine_options() {
 QueryService::QueryResult QueryService::query_text(
     const std::string& scenario_text) {
   try {
-    return query(scenario_from_text_or_throw(scenario_text));
+    return query(Scenario::parse_text(scenario_text));
   } catch (const std::exception& error) {
     ServeMetrics& metrics = ServeMetrics::get();
     metrics.queries.add();
@@ -218,10 +211,17 @@ namespace {
 /// or an empty string.
 std::string id_echo(const json::Value& request) {
   const json::Value* id = request.find("id");
-  if (id == nullptr) return "";
-  if (id->is_number()) return ",\"id\":" + fmt_shortest(id->number);
-  if (id->is_string()) return ",\"id\":\"" + json_escape(id->string) + "\"";
-  return "";
+  std::string echo;
+  if (id == nullptr) return echo;
+  if (id->is_number()) {
+    echo = ",\"id\":";
+    append_shortest(echo, id->number);
+  } else if (id->is_string()) {
+    echo = ",\"id\":\"";
+    append_json_escaped(echo, id->string);
+    echo += '"';
+  }
+  return echo;
 }
 
 std::string error_response(const std::string& op, const std::string& id,
@@ -233,12 +233,20 @@ std::string error_response(const std::string& op, const std::string& id,
 std::string query_response(const std::string& id,
                            const QueryService::QueryResult& qr) {
   if (!qr.ok) return error_response("query", id, qr.error);
-  std::ostringstream os;
-  os << "{\"op\":\"query\"" << id << ",\"ok\":true,\"source\":\"" << qr.source
-     << "\",\"key\":\"" << json_escape(qr.key) << "\",\"scenario\":\""
-     << json_escape(qr.scenario.to_string())
-     << "\",\"result\":" << result_to_json(qr.result) << '}';
-  return os.str();
+  std::string reply;
+  reply.reserve(2 * qr.key.size() + 1024);
+  reply += "{\"op\":\"query\"";
+  reply += id;
+  reply += ",\"ok\":true,\"source\":\"";
+  reply += qr.source;
+  reply += "\",\"key\":\"";
+  append_json_escaped(reply, qr.key);
+  reply += "\",\"scenario\":\"";
+  append_json_escaped(reply, qr.scenario.to_string());
+  reply += "\",\"result\":";
+  append_result_json(reply, qr.result);
+  reply += '}';
+  return reply;
 }
 
 void handle_grid(QueryService& service, const json::Value& request,
@@ -250,7 +258,7 @@ void handle_grid(QueryService& service, const json::Value& request,
     return;
   }
   try {
-    const Scenario base = scenario_from_text_or_throw(scenario_text->string);
+    const Scenario base = Scenario::parse_text(scenario_text->string);
     std::vector<SweepSpec> axes;
     if (const json::Value* axis_list = request.find("axes");
         axis_list != nullptr) {
@@ -278,13 +286,18 @@ void handle_grid(QueryService& service, const json::Value& request,
       } else {
         ++computed;
       }
-      std::ostringstream os;
-      os << "{\"op\":\"cell\"" << id << ",\"cell\":" << cell.index
-         << ",\"label\":\"" << json_escape(cell.label) << "\",\"source\":\""
-         << (cell.from_store ? "store" : cell.from_cache ? "cache" : "computed")
-         << "\",\"scenario\":\"" << json_escape(cell.scenario.to_string())
-         << "\",\"result\":" << result_to_json(cell.result) << '}';
-      emit(os.str());
+      std::string line = "{\"op\":\"cell\"" + id + ",\"cell\":";
+      append_integer(line, cell.index);
+      line += ",\"label\":\"";
+      append_json_escaped(line, cell.label);
+      line += "\",\"source\":\"";
+      line += cell.from_store ? "store" : cell.from_cache ? "cache" : "computed";
+      line += "\",\"scenario\":\"";
+      append_json_escaped(line, cell.scenario.to_string());
+      line += "\",\"result\":";
+      append_result_json(line, cell.result);
+      line += '}';
+      emit(line);
     });
     EngineOptions options = service.engine_options();
     options.sinks.push_back(&stream);

@@ -5,37 +5,55 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/number_codec.hpp"
 
 namespace routesim {
 
 namespace {
 
-/// Exact-round-trip number emission: fmt_shortest for finite values (its
-/// contract is strtod-identity), string literals for the values JSON
-/// cannot spell.
-void exact_number(std::ostringstream& os, double value) {
+/// Exact-round-trip number emission: fmt_shortest form for finite values
+/// (parse_decimal reads it back bit-identically), string literals for the
+/// values JSON cannot spell.
+void append_exact_number(std::string& out, double value) {
   if (std::isnan(value)) {
-    os << "\"nan\"";
+    out += "\"nan\"";
   } else if (std::isinf(value)) {
-    os << (value > 0 ? "\"inf\"" : "\"-inf\"");
+    out += value > 0 ? "\"inf\"" : "\"-inf\"";
   } else {
-    os << fmt_shortest(value);
+    append_shortest(out, value);
   }
 }
 
-void exact_interval(std::ostringstream& os, const char* name,
-                    const ConfidenceInterval& interval) {
-  os << '"' << name << "_mean\":";
-  exact_number(os, interval.mean);
-  os << ",\"" << name << "_half_width\":";
-  exact_number(os, interval.half_width);
+void append_exact_interval(std::string& out, const char* name,
+                           const ConfidenceInterval& interval) {
+  out += '"';
+  out += name;
+  out += "_mean\":";
+  append_exact_number(out, interval.mean);
+  out += ",\"";
+  out += name;
+  out += "_half_width\":";
+  append_exact_number(out, interval.half_width);
+}
+
+/// One store record line (no newline) into `out`.
+void append_store_record(std::string& out, const std::string& key,
+                         std::string_view scenario_text, const RunResult& result) {
+  out += "{\"v\":";
+  append_integer(out, kResultStoreVersion);
+  out += ",\"key\":\"";
+  append_json_escaped(out, key);
+  out += "\",\"scenario\":\"";
+  append_json_escaped(out, scenario_text);
+  out += "\",\"result\":";
+  append_result_json(out, result);
+  out += '}';
 }
 
 /// Reads one double back: a JSON number, one of the non-finite string
@@ -73,14 +91,10 @@ bool read_interval(const json::Value& object, const std::string& name,
          read_double(object.find(name + "_half_width"), &out->half_width);
 }
 
-/// "scheme key=value ..." -> Scenario, via the CLI token form.
+/// "scheme key=value ..." -> Scenario; false on malformed text.
 bool scenario_from_text(const std::string& text, Scenario* out) {
-  std::istringstream words(text);
-  std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
-  if (tokens.empty()) return false;
   try {
-    *out = Scenario::parse(tokens);
+    *out = Scenario::parse_text(text);
   } catch (const ScenarioError&) {
     return false;
   }
@@ -89,38 +103,45 @@ bool scenario_from_text(const std::string& text, Scenario* out) {
 
 }  // namespace
 
-std::string result_to_json(const RunResult& result) {
-  std::ostringstream os;
-  os << "{\"rho\":";
-  exact_number(os, result.rho);
-  os << ',';
-  exact_interval(os, "delay", result.delay);
-  os << ',';
-  exact_interval(os, "population", result.population);
-  os << ',';
-  exact_interval(os, "throughput", result.throughput);
-  os << ",\"mean_hops\":";
-  exact_number(os, result.mean_hops);
-  os << ",\"max_little_error\":";
-  exact_number(os, result.max_little_error);
-  os << ",\"mean_final_backlog\":";
-  exact_number(os, result.mean_final_backlog);
-  os << ",\"has_bounds\":" << (result.has_bounds ? "true" : "false")
-     << ",\"lower_bound\":";
-  exact_number(os, result.lower_bound);
-  os << ",\"upper_bound\":";
-  exact_number(os, result.upper_bound);
-  os << ",\"extras\":{";
+void append_result_json(std::string& out, const RunResult& result) {
+  out += "{\"rho\":";
+  append_exact_number(out, result.rho);
+  out += ',';
+  append_exact_interval(out, "delay", result.delay);
+  out += ',';
+  append_exact_interval(out, "population", result.population);
+  out += ',';
+  append_exact_interval(out, "throughput", result.throughput);
+  out += ",\"mean_hops\":";
+  append_exact_number(out, result.mean_hops);
+  out += ",\"max_little_error\":";
+  append_exact_number(out, result.max_little_error);
+  out += ",\"mean_final_backlog\":";
+  append_exact_number(out, result.mean_final_backlog);
+  out += result.has_bounds ? ",\"has_bounds\":true" : ",\"has_bounds\":false";
+  out += ",\"lower_bound\":";
+  append_exact_number(out, result.lower_bound);
+  out += ",\"upper_bound\":";
+  append_exact_number(out, result.upper_bound);
+  out += ",\"extras\":{";
   for (std::size_t i = 0; i < result.extras.size(); ++i) {
-    os << (i == 0 ? "" : ",") << '"' << json_escape(result.extras[i].first)
-       << "\":{\"mean\":";
-    exact_number(os, result.extras[i].second.mean);
-    os << ",\"half_width\":";
-    exact_number(os, result.extras[i].second.half_width);
-    os << '}';
+    if (i != 0) out += ',';
+    out += '"';
+    append_json_escaped(out, result.extras[i].first);
+    out += "\":{\"mean\":";
+    append_exact_number(out, result.extras[i].second.mean);
+    out += ",\"half_width\":";
+    append_exact_number(out, result.extras[i].second.half_width);
+    out += '}';
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
+}
+
+std::string result_to_json(const RunResult& result) {
+  std::string out;
+  out.reserve(512);
+  append_result_json(out, result);
+  return out;
 }
 
 bool result_from_json(const json::Value& value, RunResult* out) {
@@ -170,11 +191,10 @@ bool result_from_json(const json::Value& value, RunResult* out) {
 
 std::string store_record_json(const std::string& key, const Scenario& scenario,
                               const RunResult& result) {
-  std::ostringstream os;
-  os << "{\"v\":" << kResultStoreVersion << ",\"key\":\"" << json_escape(key)
-     << "\",\"scenario\":\"" << json_escape(scenario.to_string())
-     << "\",\"result\":" << result_to_json(result) << '}';
-  return os.str();
+  std::string out;
+  out.reserve(2 * key.size() + 512);
+  append_store_record(out, key, scenario.to_string(), result);
+  return out;
 }
 
 // ------------------------------------------------------------------- store
@@ -209,8 +229,9 @@ bool ResultStore::apply_record(const json::Value& record) {
       !key->is_string() || key->string.empty() || result_value == nullptr) {
     return false;
   }
-  if (static_cast<int>(version->number) != kResultStoreVersion ||
-      version->number != static_cast<int>(version->number)) {
+  // Compared as doubles: casting an arbitrary JSON number ("v":1e300) to
+  // int is undefined behaviour.
+  if (version->number != kResultStoreVersion) {
     ++stats_.skipped_version;
     return true;  // a well-formed record we must not interpret — not garbage
   }
@@ -234,17 +255,11 @@ bool ResultStore::apply_record(const json::Value& record) {
 void ResultStore::load_existing() {
   std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // no file yet: an empty store
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  std::size_t begin = 0;
-  while (begin < content.size()) {
-    std::size_t end = content.find('\n', begin);
-    const bool has_newline = end != std::string::npos;
-    if (!has_newline) end = content.size();
-    const std::string line = content.substr(begin, end - begin);
-    begin = end + (has_newline ? 1 : 0);
+  // Line by line: memory stays at the index plus one line, never a second
+  // copy of the whole file.
+  for (std::string line; std::getline(in, line);) {
+    // getline stops at the file's end without a '\n' only on the last line.
+    const bool has_newline = !in.eof();
     if (!has_newline) tail_unterminated_ = true;
 
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -305,10 +320,14 @@ bool ResultStore::fetch(const std::string& key, RunResult* out) {
 void ResultStore::persist(const std::string& key, const Scenario& scenario,
                           const RunResult& result) {
   StoreMetrics::get().persists.add();
-  const std::string line = store_record_json(key, scenario, result) + "\n";
+  std::string scenario_text = scenario.to_string();
+  std::string line;
+  line.reserve(key.size() + scenario_text.size() + 512);
+  append_store_record(line, key, scenario_text, result);
+  line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   if (index_.find(key) == index_.end()) order_.push_back(key);
-  index_.insert_or_assign(key, Entry{scenario.to_string(), result});
+  index_.insert_or_assign(key, Entry{std::move(scenario_text), result});
   if (file_ == nullptr) return;  // unopenable store: in-memory tier only
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
@@ -353,11 +372,8 @@ bool ResultStore::compact() {
   std::string content;
   for (const std::string& key : order_) {
     const Entry& entry = index_.at(key);
-    std::ostringstream os;
-    os << "{\"v\":" << kResultStoreVersion << ",\"key\":\"" << json_escape(key)
-       << "\",\"scenario\":\"" << json_escape(entry.scenario_text)
-       << "\",\"result\":" << result_to_json(entry.result) << "}\n";
-    content += os.str();
+    append_store_record(content, key, entry.scenario_text, entry.result);
+    content += '\n';
   }
   if (!write_file_atomic(path_, content)) return false;
   if (file_ != nullptr) std::fclose(file_);
@@ -394,7 +410,7 @@ std::size_t replay_results(
       const json::Value* key = record.find("key");
       const json::Value* scenario_text = record.find("scenario");
       if (version == nullptr || !version->is_number() ||
-          static_cast<int>(version->number) != kResultStoreVersion ||
+          version->number != kResultStoreVersion ||
           key == nullptr || !key->is_string() || scenario_text == nullptr ||
           !scenario_text->is_string()) {
         continue;

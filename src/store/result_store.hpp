@@ -19,12 +19,13 @@
 ///   - an interleaved garbage line is skipped and counted;
 ///   - duplicate keys resolve last-wins (an append-only file never
 ///     rewrites history — compact() folds it);
-///   - records whose "v" field mismatches kStoreVersion are skipped, so a
+///   - records whose "v" field is not kResultStoreVersion are skipped, so a
 ///     future format change cannot be misread as data.
 ///
 /// Numbers round-trip *bit-identically*: finite doubles are written in
-/// fmt_shortest() form (shortest decimal that strtod's back to the same
-/// bits) and non-finite values as the strings "nan"/"inf"/"-inf" (JSON
+/// fmt_shortest() form (util/number_codec.hpp: the first of %.1g, %.3g,
+/// ... %.15g that reads back as the same bits, else %.17g) and non-finite
+/// values as the strings "nan"/"inf"/"-inf" (JSON
 /// has no literals for them; the campaign sink's lossy `null` is accepted
 /// on read as NaN).  That exactness is what lets a resumed campaign
 /// reproduce a cold run's results to the last bit (tests/test_campaign.cpp
@@ -57,6 +58,10 @@ inline constexpr int kResultStoreVersion = 1;
 /// (no surrounding record envelope).  Two results are bit-identical iff
 /// their serialisations are byte-identical — tests lean on this.
 [[nodiscard]] std::string result_to_json(const RunResult& result);
+
+/// result_to_json(), appended to `out` (the reply and record emitters
+/// build one string).
+void append_result_json(std::string& out, const RunResult& result);
 
 /// Reconstructs a RunResult from result_to_json() output *or* from a
 /// campaign JSONL sink line (same field names at top level; its `null`

@@ -1,11 +1,12 @@
 #include "util/json_parse.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/number_codec.hpp"
 
 namespace routesim::json {
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;
   const Value* found = nullptr;
   for (const auto& member : object) {
@@ -19,7 +20,7 @@ namespace {
 /// Recursive-descent parser state over one immutable text buffer.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   bool parse_document(Value* out, std::string* error) {
     skip_whitespace();
@@ -107,9 +108,9 @@ class Parser {
   }
 
   bool parse_number(Value* out) {
-    // Validate the JSON number grammar first (strtod accepts more: hex,
-    // "inf", leading '+', ...), then convert the exact same span with
-    // strtod so fmt_shortest() emissions round-trip bit-identically.
+    // Validate the JSON number grammar first (strtod and from_chars accept
+    // more: hex, "inf", leading '+', ...), then convert the exact same span
+    // in place so fmt_shortest() emissions round-trip bit-identically.
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     std::size_t digits = 0;
@@ -144,9 +145,8 @@ class Parser {
       }
       if (exponent == 0) return fail("digits required in exponent");
     }
-    const std::string span = text_.substr(start, pos_ - start);
     out->type = Value::Type::kNumber;
-    out->number = std::strtod(span.c_str(), nullptr);
+    out->number = parse_decimal(text_.substr(start, pos_ - start));
     return true;
   }
 
@@ -202,8 +202,16 @@ class Parser {
         return fail("raw control character in string");
       }
       if (c != '\\') {
-        *out += c;
-        ++pos_;
+        // Append the whole run up to the next quote, escape or control
+        // character at once.
+        const std::size_t run = pos_;
+        while (++pos_ < text_.size()) {
+          const char next = text_[pos_];
+          if (next == '"' || next == '\\' || static_cast<unsigned char>(next) < 0x20) {
+            break;
+          }
+        }
+        out->append(text_.data() + run, pos_ - run);
         continue;
       }
       if (++pos_ >= text_.size()) return fail("truncated escape");
@@ -310,7 +318,7 @@ class Parser {
     }
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;
   const char* reason_ = nullptr;
@@ -319,7 +327,7 @@ class Parser {
 
 }  // namespace
 
-bool parse(const std::string& text, Value* out, std::string* error) {
+bool parse(std::string_view text, Value* out, std::string* error) {
   *out = Value{};
   return Parser(text).parse_document(out, error);
 }

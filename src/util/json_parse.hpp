@@ -8,13 +8,17 @@
 /// the escaping); this is the matching reader.  It is a small
 /// recursive-descent parser over the full JSON grammar — objects preserve
 /// key order (the store round-trips extras vectors in order), numbers are
-/// parsed with strtod so every fmt_shortest() emission round-trips to the
-/// identical double, and any syntax error is reported with a character
-/// offset instead of throwing.  It is *not* a general-purpose JSON API:
-/// no DOM mutation, no serialisation (the emitters own that side).
+/// checked against the JSON grammar and converted in place by
+/// parse_decimal() (util/number_codec.hpp), which returns strtod's double
+/// bit for bit, so every fmt_shortest() emission reads back as the
+/// identical double and `1e999` still reads as inf; and any syntax error
+/// is reported with a character offset instead of throwing.  It is *not*
+/// a general-purpose JSON API: no DOM mutation, no serialisation (the
+/// emitters own that side).
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,13 +47,14 @@ struct Value {
 
   /// Member lookup (objects only); nullptr when absent or not an object.
   /// Duplicate keys resolve to the last occurrence.
-  [[nodiscard]] const Value* find(const std::string& key) const;
+  [[nodiscard]] const Value* find(std::string_view key) const;
 };
 
 /// Parses one complete JSON document from `text` (leading/trailing
-/// whitespace allowed, nothing else may follow).  Returns false and fills
+/// whitespace allowed, nothing else may follow).  `text` is read in place
+/// and need not outlive the call.  Returns false and fills
 /// `*error` (when given) with "offset N: reason" on malformed input.
-[[nodiscard]] bool parse(const std::string& text, Value* out,
+[[nodiscard]] bool parse(std::string_view text, Value* out,
                          std::string* error = nullptr);
 
 }  // namespace routesim::json

@@ -58,8 +58,9 @@ struct PacketTrace {
     std::uint64_t seed);
 
 /// Writes the trace as JSONL — one {"t":...,"src":...,"dst":...} object
-/// per packet, times in shortest exact-round-trip decimal form, so a
-/// saved trace loads back bit-identically.  Throws std::runtime_error
+/// per packet, times in fmt_shortest() form (util/number_codec.hpp), so a
+/// saved trace loads back bit-identically.  Those bytes are fingerprinted
+/// into cache keys (trace_file_fingerprint), so the form must not drift.  Throws std::runtime_error
 /// when the file cannot be written.
 void save_trace_jsonl(const PacketTrace& trace, const std::string& path);
 

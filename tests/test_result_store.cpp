@@ -235,6 +235,44 @@ TEST(ResultStore, SkipsVersionMismatchedRecords) {
   EXPECT_FALSE(store.contains("future key"));
 }
 
+TEST(ResultStore, HostileVersionNumbersAreSkippedNotCast) {
+  // Versions outside int's range (or not integral) once reached a
+  // double-to-int cast, which is undefined behaviour; they are simply not
+  // the current version.
+  for (const std::string version :
+       {"1e300", "-1e300", "2147483648", "4294967297", "1.5", "-0.5"}) {
+    const std::string path = temp_store("hostile_version.jsonl");
+    std::string hostile = store_record_json("hostile key", sample_scenario(),
+                                            sample_result());
+    hostile.replace(hostile.find("\"v\":1") + 4, 1, version);
+    write_file(path, hostile + "\n" +
+                         store_record_json("current key", sample_scenario(),
+                                           sample_result()) +
+                         "\n");
+    {
+      ResultStore store(path);
+      EXPECT_EQ(store.size(), 1u) << version;
+      EXPECT_EQ(store.load_stats().skipped_version, 1u) << version;
+      EXPECT_EQ(store.load_stats().skipped_garbage, 0u) << version;
+      EXPECT_FALSE(store.contains("hostile key")) << version;
+    }
+    std::vector<std::string> replayed;
+    EXPECT_EQ(replay_results(path,
+                             [&](const std::string& key, const Scenario&,
+                                 const RunResult&) { replayed.push_back(key); }),
+              1u)
+        << version;
+    EXPECT_EQ(replayed, std::vector<std::string>{"current key"}) << version;
+  }
+  // The current version spelled as a non-integer literal is still current.
+  const std::string path = temp_store("version_spelling.jsonl");
+  std::string spelled = store_record_json("key", sample_scenario(), sample_result());
+  spelled.replace(spelled.find("\"v\":1") + 4, 1, "1.0e0");
+  write_file(path, spelled + "\n");
+  ResultStore store(path);
+  EXPECT_TRUE(store.contains("key"));
+}
+
 TEST(ResultStore, CompactFoldsHistoryToOneRecordPerKey) {
   const std::string path = temp_store("compact.jsonl");
   ResultStore store(path);
