@@ -6,16 +6,35 @@
 //       with higher load.
 
 #include <iostream>
+#include <string>
 
 #include "common/table.hpp"
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 
 using namespace routesim;
 
-int main() {
+namespace {
+
+/// Greedy routing on the d-cube under law (1) with parameter p.
+RunResult hypercube_delay(int d, double lambda, double p, const Window& window,
+                          const ReplicationPlan& plan) {
+  Scenario scenario;
+  scenario.scheme = "hypercube_greedy";
+  scenario.d = d;
+  scenario.lambda = lambda;
+  scenario.p = p;
+  scenario.window = window;
+  scenario.plan = plan;
+  return run(scenario);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   std::cout << "X11: effect of destination locality p (d = 8)\n\n";
   const int d = 8;
   benchtab::Checker checker;
+  benchtab::JsonReport report("tab_destination_locality");
 
   {
     std::cout << "(a) fixed load factor rho = 0.6 (lambda = rho/p adjusts):\n";
@@ -23,9 +42,8 @@ int main() {
     double previous = 0.0;
     for (const double p : {0.125, 0.25, 0.5, 0.75, 1.0}) {
       const double rho = 0.6;
-      const bounds::HypercubeParams params{d, rho / p, p};
       const auto window = Window::for_load(d, rho, 4000.0);
-      const auto estimate = estimate_hypercube_delay(params, window, {5, 808, 0});
+      const RunResult estimate = hypercube_delay(d, rho / p, p, window, {5, 808, 0});
       table.add_row({benchtab::fmt(p, 3), benchtab::fmt(rho / p, 2),
                      benchtab::fmt(estimate.lower_bound),
                      benchtab::fmt(estimate.delay.mean),
@@ -40,6 +58,7 @@ int main() {
       previous = estimate.delay.mean;
     }
     table.print();
+    report.add_table("fixed_rho", table);
     std::cout << '\n';
   }
 
@@ -49,10 +68,9 @@ int main() {
     double previous = 0.0;
     bool monotone = true;
     for (const double p : {0.2, 0.4, 0.6, 0.8, 0.9}) {
-      const bounds::HypercubeParams params{d, 1.0, p};
       const double rho = p;
       const auto window = Window::for_load(d, rho, 5000.0);
-      const auto estimate = estimate_hypercube_delay(params, window, {5, 909, 0});
+      const RunResult estimate = hypercube_delay(d, 1.0, p, window, {5, 909, 0});
       table.add_row({benchtab::fmt(p, 2), benchtab::fmt(rho, 2),
                      benchtab::fmt(estimate.delay.mean),
                      benchtab::fmt(estimate.upper_bound)});
@@ -62,6 +80,7 @@ int main() {
                       "fixed-lambda p=" + benchtab::fmt(p, 1) + ": T <= P12");
     }
     table.print();
+    report.add_table("fixed_lambda", table);
     checker.require(monotone,
                     "fixed-lambda: delay strictly increases with p "
                     "(longer trips AND higher load)");
@@ -70,5 +89,8 @@ int main() {
   std::cout << "\nShape check: localised traffic (small p) is cheap; the "
                "uniform case p = 1/2 is the standard benchmark; antipodal "
                "traffic pays the full diameter.\n";
-  return checker.summarize();
+  const int exit_code = checker.summarize();
+  const std::string json_path = benchtab::json_path_from_args(argc, argv);
+  if (!json_path.empty()) report.write(json_path, checker);
+  return exit_code;
 }

@@ -70,7 +70,19 @@ Campaign& Campaign::grid(const Scenario& base,
   }
   std::vector<std::vector<double>> values;
   values.reserve(axes.size());
-  for (const SweepSpec& axis : axes) values.push_back(axis.values());
+  std::size_t cells = 1;
+  for (const SweepSpec& axis : axes) {
+    values.push_back(axis.values());
+    // Each axis has at most SweepSpec::kMaxPoints values, so the running
+    // product stays far below overflow before it is checked.
+    cells *= values.back().size();
+    if (cells > kMaxGridCells) {
+      throw ScenarioError("grid has more than " +
+                          std::to_string(kMaxGridCells) +
+                          " cells (the cross-product cap); use fewer or "
+                          "coarser axes");
+    }
+  }
 
   // Odometer over the axes, last axis fastest (first slowest-varying).
   std::vector<std::size_t> index(axes.size(), 0);

@@ -66,8 +66,12 @@ class Campaign {
   /// resolution like `--set rho=` does.  An empty axis list adds `base`
   /// itself as a single cell.  Throws ScenarioError on conflicting axes
   /// (two axes over one key, or rho with lambda) — they would silently
-  /// overwrite each other per cell.
+  /// overwrite each other per cell — and on a cross product of more than
+  /// kMaxGridCells cells, before adding any.
   Campaign& grid(const Scenario& base, const std::vector<SweepSpec>& axes);
+
+  /// Most cells one grid() call may add.
+  static constexpr std::size_t kMaxGridCells = 100000;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::vector<CampaignCell>& cells() const noexcept {

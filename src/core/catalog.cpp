@@ -193,8 +193,9 @@ const std::vector<CatalogEntry>& backend_docs() {
        "structure-of-arrays batch kernel for slotted-time scenarios "
        "(tau > 0): advances every busy arc per tick with vectorizable "
        "updates, bit-identical to scalar on adopting schemes "
-       "(hypercube_greedy, butterfly_greedy, deflection); needs FIFO "
-       "service and a static fault set, other schemes reject it"},
+       "(hypercube_greedy, butterfly_greedy); needs FIFO service and a "
+       "static fault set; deflection, slotted by construction, accepts it "
+       "and runs its one slot loop; other schemes reject it"},
   };
   return backends;
 }

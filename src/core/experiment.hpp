@@ -1,19 +1,16 @@
 #pragma once
 /// \file experiment.hpp
-/// \brief Thread-parallel replication runner with deterministic results.
+/// \brief Replication plans and their across-replication summaries.
 ///
 /// Steady-state estimates in this library come from independent
 /// replications: the same model is simulated `replications` times with
 /// per-replication seeds derive_stream(base_seed, rep), and each metric's
-/// across-replication mean gets a Student-t confidence interval.
-/// Replications execute on a pool of std::jthread workers (HPC guideline:
-/// explicit, portable parallelism with no shared mutable state — each
-/// replication owns its simulator; results land in a pre-sized vector slot
-/// owned by that replication), so the aggregate is bit-identical for any
-/// thread count.
+/// across-replication mean gets a Student-t confidence interval.  The
+/// campaign engine (core/campaign.hpp) schedules the replications on its
+/// worker pool; each one owns its simulator and its result row, so the
+/// aggregate is bit-identical for any thread count.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "stats/ci.hpp"
@@ -31,13 +28,6 @@ struct ReplicationPlan {
 
   friend bool operator==(const ReplicationPlan&, const ReplicationPlan&) = default;
 };
-
-/// Runs body(seed, rep_index) once per replication (in parallel) and
-/// returns each replication's metric vector, indexed by replication.
-/// Every replication must return the same number of metrics.
-[[nodiscard]] std::vector<std::vector<double>> run_replications(
-    const ReplicationPlan& plan,
-    const std::function<std::vector<double>(std::uint64_t seed, int rep)>& body);
 
 /// Convenience: per-metric across-replication summaries (merged in
 /// replication order, hence deterministic).

@@ -7,8 +7,8 @@
 /// hookups live next to the simulators: register_*_scheme in
 /// src/routing/*.cpp and core/equivalence.cpp for the equivalent
 /// networks).  `run(scenario)` resolves the scenario's scheme name here,
-/// so every consumer — the façade, the bench driver, the tests — goes
-/// through one uniform path: compile -> replicate -> intervals -> bounds.
+/// so every consumer — campaigns, the bench driver, the serve daemon, the
+/// tests — goes through one uniform path: compile -> replicate -> intervals -> bounds.
 ///
 /// A compiled replication body returns the six standard metrics
 /// (metric::kDelay .. metric::kBacklog) followed by one value per entry of

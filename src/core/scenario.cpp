@@ -781,9 +781,17 @@ std::vector<double> SweepSpec::values() const {
   if (stop < start) throw ScenarioError("sweep stop must be >= start");
   // Generate by index (start + i*step), not accumulation, so later points
   // carry no summed rounding error; include stop within a half-step
-  // tolerance and clamp any overshoot onto it.
-  const auto last =
-      static_cast<long long>(std::floor((stop - start) / step + 0.5));
+  // tolerance and clamp any overshoot onto it.  Bound the count while it is
+  // still a double: a tiny step over a wide range makes it inf or too large
+  // for the integer cast, and a merely huge one would allocate that many
+  // values.
+  const double last_index = std::floor((stop - start) / step + 0.5);
+  if (!(last_index < static_cast<double>(kMaxPoints))) {
+    throw ScenarioError("sweep '" + key + "' has more than " +
+                        std::to_string(kMaxPoints) +
+                        " points (the per-axis cap); use a larger step");
+  }
+  const auto last = static_cast<long long>(last_index);
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(last) + 1);
   for (long long i = 0; i <= last; ++i) {

@@ -11,9 +11,6 @@
 /// (core/registry.hpp), so adding a sweep or a workload is a data change,
 /// not a new binary.  Scenarios round-trip through the `key=value` textual
 /// form used by the `routesim_bench` CLI (`--scenario NAME --set rho=0.6`).
-///
-/// The legacy façade (core/simulation.hpp) is a thin shim over this API
-/// and produces bit-identical results for the same seed and plan.
 
 #include <cstdint>
 #include <initializer_list>
@@ -366,9 +363,9 @@ struct RunResult {
 /// The single-shot entry point — now a one-cell campaign on the shared
 /// scheduler (core/campaign.hpp): resolves the scenario, looks the scheme
 /// up in the registry, compiles it, runs the replication plan, and
-/// assembles intervals + bounds uniformly.  Bit-identical to the historic
-/// per-run pool for equal seeds and plans.  Throws ScenarioError for an
-/// unknown scheme.
+/// assembles intervals + bounds uniformly.  Replication r runs with seed
+/// derive_stream(plan.base_seed, r); the result is identical for any
+/// thread count.  Throws ScenarioError for an unknown scheme.
 [[nodiscard]] RunResult run(const Scenario& scenario);
 
 // ----------------------------------------------------------------- sweeps
@@ -383,11 +380,15 @@ struct SweepSpec {
 
   static SweepSpec parse(const std::string& text);
 
+  /// Most points one axis may have.
+  static constexpr long long kMaxPoints = 10000;
+
   /// The swept values, generated by index (`start + i*step`, no
   /// accumulated rounding); `stop` is always included within a half-step
   /// tolerance (overshoot is clamped to `stop`).  Throws ScenarioError on
   /// a non-positive or non-finite spec (parse() already rejects those, but
-  /// directly-constructed specs go through the same checks).
+  /// directly-constructed specs go through the same checks) and on an
+  /// axis of more than kMaxPoints points.
   [[nodiscard]] std::vector<double> values() const;
 
   /// The numeric keys meaningful to sweep (the catalog and --help render

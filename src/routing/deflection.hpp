@@ -1,17 +1,27 @@
 #pragma once
 /// \file deflection.hpp
-/// \brief Deflection ("hot-potato") routing on the hypercube — the
-///        bufferless alternative analysed approximately by Greenberg &
-///        Hajek [GrH89], included here as the related-work comparator.
+/// \brief Deflection ("hot-potato") routing — the bufferless alternative
+///        analysed approximately by Greenberg & Hajek [GrH89], included here
+///        as the related-work comparator — on the hypercube and on any
+///        `Topology` (ring, torus, mesh).
 ///
-/// Time is slotted (slot = one packet transmission).  Each node holds at
-/// most d packets (one per input port).  In every slot each node assigns
-/// each resident packet an output dimension: packets are considered oldest
-/// first; a packet prefers its lowest *productive* dimension (one that
-/// reduces its Hamming distance to the destination) that is still free,
-/// and otherwise is *deflected* onto the lowest free non-productive
-/// dimension.  Freshly generated packets wait in a per-node injection
-/// queue and are admitted whenever the node holds fewer than d packets.
+/// Time is slotted (slot = one packet transmission).  Each node owns one
+/// port per out-arc and holds at most one packet per port.  In every slot
+/// each node assigns each resident packet a port: packets are considered
+/// oldest first; a packet takes its lowest-index *productive* port (one
+/// that brings it closer to its destination) that is still free, and
+/// otherwise is *deflected* onto the lowest free port.  Freshly generated
+/// packets wait in a per-node injection queue and are admitted whenever the
+/// node holds fewer packets than it has ports.
+///
+/// Both simulators below run the one slot loop of DeflectionSlotLoop; each
+/// supplies a static port rule:
+/// - DeflectionSim (the d-cube): port k is dimension k+1 and is productive
+///   when node XOR dest has that bit; destinations come from a
+///   DestinationDistribution; natively fault-aware; RNG salt 0xDEF1.
+/// - TopologyDeflectionSim (any Topology): port k is out_arc(node, k) and is
+///   productive when the hop metric to the destination drops; uniform
+///   destinations; no faults; RNG salt 0xDEF2.
 ///
 /// The slot-stepped dynamics need no event set, but the measurement-window
 /// accounting (delay / hops / deliveries / throughput) is the shared
@@ -20,11 +30,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
-#include "des/kernel_backend.hpp"
 #include "des/packet_kernel.hpp"
-#include "des/soa_store.hpp"
+#include "routing/topology_greedy.hpp"
 #include "stats/summary.hpp"
 #include "topology/hypercube.hpp"
 #include "util/rng.hpp"
@@ -53,29 +63,17 @@ struct DeflectionConfig {
   double fault_mtbf = 0.0;  ///< mean link up-time (> 0 with mttr => dynamic)
   double fault_mttr = 0.0;  ///< mean link repair time
   int ttl = 0;              ///< max hops before a packet is dropped; 0 = 64*d
-
-  /// Execution engine.  Deflection is natively slotted, so kSoaBatch is
-  /// accepted unconditionally: the same slot loop over a structure-of-
-  /// arrays packet store (ids in the per-node containers, fields in
-  /// SoaPacketStore) — bit-identical draws, sorts and statistics.
-  KernelBackend backend = KernelBackend::kScalar;
 };
 
-class DeflectionSim {
+/// The per-node packet state, counters and measurement harvest shared by
+/// both deflection simulators, and the one slot loop they run.
+class DeflectionSlotLoop {
  public:
-  explicit DeflectionSim(DeflectionConfig config);
-
-  /// Reconfigures for another replication, reusing storage.
-  void reset(DeflectionConfig config);
-
-  /// Simulates `num_slots` unit slots; statistics cover slots >= warmup_slots.
-  void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
-
   /// Delay: generation slot to delivery slot (includes injection waiting).
   [[nodiscard]] const Summary& delay() const noexcept { return stats_.delay(); }
 
-  /// Hops actually taken per delivered packet (>= Hamming distance;
-  /// the excess counts deflections).
+  /// Hops actually taken per delivered packet (>= the shortest path; the
+  /// excess counts deflections).
   [[nodiscard]] const Summary& hops() const noexcept { return stats_.hops(); }
 
   /// Fraction of transmissions that were deflections (non-productive).
@@ -84,7 +82,7 @@ class DeflectionSim {
     return total == 0.0 ? 0.0 : static_cast<double>(deflected_) / total;
   }
 
-  /// Packets waiting in injection queues at the end of the run.
+  /// Packets still waiting in injection queues (or in flight) at the end.
   [[nodiscard]] std::uint64_t injection_backlog() const noexcept { return backlog_; }
 
   [[nodiscard]] std::uint64_t deliveries_in_window() const noexcept {
@@ -101,34 +99,63 @@ class DeflectionSim {
   [[nodiscard]] double delivery_ratio() const noexcept {
     return stats_.delivery_ratio();
   }
-  /// The attached fault model (inactive without fault rates).
-  [[nodiscard]] const FaultModel& fault_model() const noexcept {
-    return fault_model_;
-  }
   /// The full measurement harvest (delivery ratio, stretch, quantiles, ...).
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept {
     return stats_;
   }
 
- private:
+ protected:
+  /// Trivial on purpose: with default member initializers a d=8 run
+  /// measured about 4% slower.  Always built with all four fields.
   struct Pkt {
     NodeId dest;
     double gen_time;
     std::uint16_t hops;
-    std::uint16_t min_hops;  ///< Hamming distance at generation (stretch)
+    std::uint16_t min_hops;  ///< shortest-path length at generation (stretch)
   };
 
-  void run_scalar(std::uint64_t warmup_slots, std::uint64_t num_slots);
-  /// The backend == kSoaBatch variant of the slot loop: packet ids flow
-  /// through the per-node containers while the fields live in soa_store_
-  /// (dest/gen_time/hops/aux = min_hops).  The stable sort on ids by
-  /// gen_time yields the same permutation as the scalar sort on values, so
-  /// draws, transmissions and statistics are bit-identical.
-  void run_soa(std::uint64_t warmup_slots, std::uint64_t num_slots);
+  /// Empties `num_nodes` nodes, zeroes the counters, reseeds the stream to
+  /// derive_stream(seed, salt) and tracks delay tails up to 64*tail_scale.
+  void reset_slots(std::size_t num_nodes, std::uint64_t seed,
+                   std::uint64_t salt, int tail_scale);
+
+  /// Simulates `num_slots` unit slots under the static port rule `Ports`
+  /// (deflection.cpp); statistics cover slots >= warmup_slots.
+  template <class Ports>
+  void run_slots(Ports ports, double lambda, std::uint64_t warmup_slots,
+                 std::uint64_t num_slots);
+
+ private:
+  Rng rng_;
+  std::vector<std::vector<Pkt>> resident_;  // packets at each node
+  std::vector<std::deque<Pkt>> injection_;  // waiting to be admitted
+  KernelStats stats_;
+  std::uint64_t productive_ = 0;
+  std::uint64_t deflected_ = 0;
+  std::uint64_t backlog_ = 0;
+};
+
+/// Hot-potato routing on the d-cube.
+class DeflectionSim : public DeflectionSlotLoop {
+ public:
+  explicit DeflectionSim(DeflectionConfig config);
+
+  /// Reconfigures for another replication, reusing storage.
+  void reset(DeflectionConfig config);
+
+  /// Simulates `num_slots` unit slots; statistics cover slots >= warmup_slots.
+  void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
+
+  /// The attached fault model (inactive without fault rates).
+  [[nodiscard]] const FaultModel& fault_model() const noexcept {
+    return fault_model_;
+  }
+
+ private:
+  struct Ports;  // the hypercube port rule (deflection.cpp)
 
   DeflectionConfig config_;
   Hypercube cube_{1};  ///< placeholder; reset() installs the real topology
-  Rng rng_;
   FaultModel fault_model_;
   bool fault_active_ = false;
   int ttl_ = 0;
@@ -137,19 +164,26 @@ class DeflectionSim {
   /// liveness is recomputed per slot).
   std::vector<std::uint8_t> live_ports_;
   std::vector<std::uint32_t> dead_ports_;
+};
 
-  std::vector<std::vector<Pkt>> resident_;           // packets at each node
-  std::vector<std::deque<Pkt>> injection_;           // waiting to be admitted
+/// Hot-potato routing over any Topology (ring, torus, mesh): ports are the
+/// out-arcs in out_arc() order.  Faults and traces are hypercube-only.
+class TopologyDeflectionSim : public DeflectionSlotLoop {
+ public:
+  explicit TopologyDeflectionSim(TopologyRoutingConfig config);
 
-  // --- soa_batch backend state (unused by kScalar) ----------------------
-  SoaPacketStore soa_store_;
-  std::vector<std::vector<std::uint32_t>> resident_ids_;
-  std::vector<std::deque<std::uint32_t>> injection_ids_;
+  void reset(TopologyRoutingConfig config);
 
-  KernelStats stats_;
-  std::uint64_t productive_ = 0;
-  std::uint64_t deflected_ = 0;
-  std::uint64_t backlog_ = 0;
+  /// Runs slots [0, num_slots); statistics cover [warmup_slots, num_slots).
+  void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
+
+  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
+
+ private:
+  struct Ports;  // the metric-descent port rule (deflection.cpp)
+
+  TopologyRoutingConfig config_;
+  std::unique_ptr<const Topology> topo_;
 };
 
 class SchemeRegistry;

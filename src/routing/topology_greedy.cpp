@@ -7,8 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "routing/deflection.hpp"
 #include "util/assert.hpp"
-#include "util/distributions.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
@@ -16,11 +16,10 @@ namespace routesim {
 namespace {
 
 /// Per-scheme RNG stream salts, mirroring the native schemes' 0xC0BE /
-/// 0x3A1A / 0xDEF1 (a different topology must not replay the hypercube's
-/// draw sequence).
+/// 0x3A1A (a different topology must not replay the hypercube's draw
+/// sequence; deflection's 0xDEF2 lives in routing/deflection.cpp).
 constexpr std::uint64_t kGreedySalt = 0x7090;
 constexpr std::uint64_t kValiantSalt = 0x7091;
-constexpr std::uint64_t kDeflectionSalt = 0xDEF2;
 
 }  // namespace
 
@@ -149,138 +148,6 @@ void TopologyGreedySim::deliver(double now, std::uint32_t pkt) {
 
 void TopologyGreedySim::run(double warmup, double horizon) {
   kernel_.drive(*this, warmup, horizon);
-}
-
-TopologyDeflectionSim::TopologyDeflectionSim(TopologyRoutingConfig config) {
-  reset(std::move(config));
-}
-
-void TopologyDeflectionSim::reset(TopologyRoutingConfig config) {
-  config_ = std::move(config);
-  topo_ = make_topology(config_.spec);
-  RS_EXPECTS(config_.lambda > 0.0);
-  RS_EXPECTS_MSG(config_.fixed_destinations == nullptr ||
-                     config_.fixed_destinations->size() == topo_->num_nodes(),
-                 "fixed-destination table must have num_nodes entries");
-  rng_.reseed(derive_stream(config_.seed, kDeflectionSalt));
-  resident_.assign(topo_->num_nodes(), {});
-  injection_.assign(topo_->num_nodes(), {});
-  productive_ = deflected_ = backlog_ = 0;
-
-  // Tail metrics (delay_p50/p99) come from the delay histogram.
-  KernelStats::Config stats;
-  enable_delay_tail_tracking(stats, std::max(1, topo_->diameter()));
-  stats_.configure(stats);
-}
-
-void TopologyDeflectionSim::run(std::uint64_t warmup_slots,
-                                std::uint64_t num_slots) {
-  RS_EXPECTS(warmup_slots <= num_slots);
-  const double warmup_time = static_cast<double>(warmup_slots);
-  stats_.begin(warmup_time, static_cast<double>(num_slots));
-
-  int max_degree = 0;
-  for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-    max_degree = std::max(max_degree, topo_->out_degree(node));
-  }
-
-  // Next-slot buffers, reused across slots.
-  std::vector<std::vector<Pkt>> incoming(topo_->num_nodes());
-  std::vector<int> port_used(static_cast<std::size_t>(max_degree));
-
-  for (std::uint64_t slot = 0; slot < num_slots; ++slot) {
-    const double now = static_cast<double>(slot);
-
-    // 1. New packets join their origin's injection queue.
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      const std::uint64_t births = sample_poisson(rng_, config_.lambda);
-      for (std::uint64_t b = 0; b < births; ++b) {
-        const NodeId dest =
-            config_.fixed_destinations != nullptr
-                ? (*config_.fixed_destinations)[node]
-                : static_cast<NodeId>(rng_.uniform_below(topo_->num_nodes()));
-        if (dest == node) {
-          // Delivered in place, delay 0 (consistent with the greedy model).
-          stats_.record_delivery(now, now, 0.0);
-          continue;
-        }
-        injection_.at(node).push_back(
-            Pkt{dest, now, 0,
-                static_cast<std::uint16_t>(topo_->metric(node, dest))});
-      }
-    }
-
-    // 2. Admission: a node may hold at most one packet per out-port.
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      auto& residents = resident_[node];
-      auto& waiting = injection_[node];
-      const auto capacity = static_cast<std::size_t>(topo_->out_degree(node));
-      while (residents.size() < capacity && !waiting.empty()) {
-        residents.push_back(waiting.front());
-        waiting.pop_front();
-      }
-    }
-
-    // 3. Port assignment and synchronous transmission: oldest packets pick
-    // first, preferring the lowest metric-decreasing free port, else the
-    // lowest free port (a deflection).
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      auto& residents = resident_[node];
-      if (residents.empty()) continue;
-      std::stable_sort(residents.begin(), residents.end(),
-                       [](const Pkt& a, const Pkt& b) { return a.gen_time < b.gen_time; });
-      const int degree = topo_->out_degree(node);
-      std::fill(port_used.begin(), port_used.begin() + degree, 0);
-      for (auto& packet : residents) {
-        const int here = topo_->metric(node, packet.dest);
-        int chosen = -1;
-        for (int k = 0; k < degree; ++k) {
-          if (port_used[k] == 0 &&
-              topo_->metric(topo_->arc_target(topo_->out_arc(node, k)),
-                            packet.dest) < here) {
-            chosen = k;
-            break;
-          }
-        }
-        const bool productive = chosen >= 0;
-        if (!productive) {
-          for (int k = 0; k < degree; ++k) {
-            if (port_used[k] == 0) {
-              chosen = k;
-              break;
-            }
-          }
-        }
-        // Admission caps residents at the port count, so a port is free.
-        RS_DASSERT(chosen >= 0);
-        port_used[chosen] = 1;
-        productive ? ++productive_ : ++deflected_;
-        ++packet.hops;
-        const NodeId next = topo_->arc_target(topo_->out_arc(node, chosen));
-        if (productive && next == packet.dest) {
-          const double stretch =
-              packet.min_hops > 0
-                  ? static_cast<double>(packet.hops) / packet.min_hops
-                  : 0.0;
-          stats_.record_delivery(now + 1.0, packet.gen_time,
-                                 static_cast<double>(packet.hops), stretch);
-        } else {
-          incoming[next].push_back(packet);
-        }
-      }
-      residents.clear();
-    }
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      resident_[node].swap(incoming[node]);
-      incoming[node].clear();
-    }
-  }
-
-  stats_.finalize(warmup_time, static_cast<double>(num_slots),
-                  /*pending_reset=*/false);
-  backlog_ = 0;
-  for (const auto& queue : injection_) backlog_ += queue.size();
-  for (const auto& residents : resident_) backlog_ += residents.size();
 }
 
 namespace {

@@ -1,18 +1,20 @@
 #pragma once
 /// \file topology_greedy.hpp
-/// \brief Topology-parametric routing simulators: greedy metric descent and
-///        its Valiant-mixing / deflection variants over any `Topology`.
+/// \brief Topology-parametric greedy routing: metric descent and its
+///        Valiant-mixing variant over any `Topology`.
 ///
-/// These sims are what `hypercube_greedy`, `valiant_mixing` and
-/// `deflection` dispatch to when a scenario selects a non-native topology
-/// (topology=ring / torus / mesh).  They reuse the shared packet kernel
-/// (des/packet_kernel.hpp) and the deflection slot loop wholesale; the only
-/// scheme-specific ingredient is `Topology::greedy_next_arc`, so one
-/// implementation serves every family the concept admits.
+/// TopologyGreedySim is what `hypercube_greedy` and `valiant_mixing`
+/// dispatch to when a scenario selects a non-native topology (topology=ring
+/// / torus / mesh); `deflection` dispatches to TopologyDeflectionSim
+/// (routing/deflection.hpp), which runs the hypercube's slot loop under a
+/// metric-descent port rule.  TopologyGreedySim reuses the shared packet
+/// kernel (des/packet_kernel.hpp) wholesale; the only scheme-specific
+/// ingredient is `Topology::greedy_next_arc`, so one implementation serves
+/// every family the concept admits.
 ///
-/// The hypercube and butterfly keep their specialised simulators — those
-/// are the paper's bit-exactness oracle (tests/test_kernel_parity.cpp) and
-/// the conformance kit certifies the concept adapters agree with them.
+/// The hypercube and butterfly keep their specialised greedy simulators —
+/// those are the paper's bit-exactness oracle (tests/test_kernel_parity.cpp)
+/// and the conformance kit certifies the concept adapters agree with them.
 ///
 /// Workloads: uniform destinations over all nodes (sampled directly from
 /// the kernel RNG — the XOR-mask DestinationDistribution is a hypercube
@@ -22,7 +24,6 @@
 /// them with catchable ScenarioErrors.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -121,53 +122,6 @@ class TopologyGreedySim {
   TopologyRoutingConfig config_;
   std::unique_ptr<const Topology> topo_;
   PacketKernel<Pkt> kernel_;
-};
-
-/// Bufferless hot-potato routing over any Topology: the topology-parametric
-/// mirror of DeflectionSim (routing/deflection.hpp).  Each node owns one
-/// port per out-arc; per slot, oldest packets pick first, preferring the
-/// lowest-index metric-decreasing port, else the lowest free port.
-class TopologyDeflectionSim {
- public:
-  explicit TopologyDeflectionSim(TopologyRoutingConfig config);
-
-  void reset(TopologyRoutingConfig config);
-
-  /// Runs slots [0, num_slots); statistics cover [warmup_slots, num_slots).
-  void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
-
-  [[nodiscard]] const Summary& delay() const noexcept { return stats_.delay(); }
-  [[nodiscard]] const Summary& hops() const noexcept { return stats_.hops(); }
-  [[nodiscard]] double throughput() const noexcept { return stats_.throughput(); }
-  [[nodiscard]] const KernelStats& kernel_stats() const noexcept { return stats_; }
-  /// Fraction of transmissions that were deflections (metric went up).
-  [[nodiscard]] double deflection_fraction() const noexcept {
-    const double total = static_cast<double>(productive_ + deflected_);
-    return total > 0.0 ? static_cast<double>(deflected_) / total : 0.0;
-  }
-  /// Packets still waiting in injection queues (or in flight) at the end.
-  [[nodiscard]] std::uint64_t injection_backlog() const noexcept {
-    return backlog_;
-  }
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
-
- private:
-  struct Pkt {
-    NodeId dest = 0;
-    double gen_time = 0.0;
-    std::uint16_t hops = 0;
-    std::uint16_t min_hops = 0;
-  };
-
-  TopologyRoutingConfig config_;
-  std::unique_ptr<const Topology> topo_;
-  Rng rng_;
-  std::vector<std::vector<Pkt>> resident_;
-  std::vector<std::deque<Pkt>> injection_;
-  KernelStats stats_;
-  std::uint64_t productive_ = 0;
-  std::uint64_t deflected_ = 0;
-  std::uint64_t backlog_ = 0;
 };
 
 struct CompiledScenario;

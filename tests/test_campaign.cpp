@@ -8,15 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "store/result_store.hpp"
+#include "util/rng.hpp"
 
 namespace routesim {
 namespace {
@@ -94,6 +100,26 @@ TEST(Campaign, GridRejectsConflictingAxes) {
   EXPECT_EQ(campaign.size(), 0u);  // nothing was added by the failed grids
 }
 
+// Axes within the per-axis cap can still multiply into a cross product
+// no campaign should hold; grid() rejects it before adding any cell.
+TEST(Campaign, GridRejectsCrossProductsOverTheCellCap) {
+  Scenario base;
+  Campaign campaign("huge");
+  try {
+    // 1000 x 101 = 101000 cells.
+    campaign.grid(base, {SweepSpec::parse("d=1:1000:1"),
+                         SweepSpec::parse("fanout=1:101:1")});
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    EXPECT_NE(std::string(error.what()).find("100000"), std::string::npos)
+        << error.what();
+  }
+  // An axis over the per-axis cap fails the same way.
+  EXPECT_THROW(campaign.grid(base, {SweepSpec::parse("rho=0:1e300:1e-300")}),
+               ScenarioError);
+  EXPECT_EQ(campaign.size(), 0u);
+}
+
 TEST(Engine, CampaignIsBitIdenticalToPerCellRun) {
   Campaign campaign("parity");
   campaign.add("hc d=4", tiny("hypercube_greedy", 4, 0.5, 11));
@@ -123,6 +149,68 @@ TEST(Engine, ThreadCountNeverChangesResults) {
     SCOPED_TRACE(serial[i].label);
     expect_identical(serial[i].result, parallel[i].result);
   }
+}
+
+// The replication contract the engine owns: replication r of a cell runs
+// once, with index r and seed derive_stream(plan.base_seed, r), whatever
+// the thread count, and the aggregate is the same for any thread count.
+TEST(Engine, ReplicationSeedsAndIndicesFollowThePlan) {
+  struct Probe {
+    std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, int>> calls;
+  };
+  const auto probe = std::make_shared<Probe>();
+  SchemeRegistry::instance().add(
+      {"test_seed_probe", "records each replication's seed and index",
+       [probe](const Scenario&) {
+         CompiledScenario compiled;
+         compiled.replicate = [probe](std::uint64_t seed, int rep) {
+           {
+             std::lock_guard<std::mutex> lock(probe->mutex);
+             probe->calls.emplace_back(seed, rep);
+           }
+           Rng rng(seed);
+           return std::vector<double>{rng.uniform(), 0.0, 0.0, 0.0, 0.0, 0.0,
+                                      static_cast<double>(rep)};
+         };
+         compiled.extra_metrics = {"rep"};
+         return compiled;
+       }});
+
+  Scenario scenario;
+  scenario.scheme = "test_seed_probe";
+  scenario.plan = {7, 1234, 0};
+  Campaign campaign("seeds");
+  campaign.add(scenario);
+
+  double expected_delay = 0.0;
+  for (int rep = 0; rep < 7; ++rep) {
+    expected_delay +=
+        Rng(derive_stream(1234, static_cast<std::uint64_t>(rep))).uniform();
+  }
+  expected_delay /= 7.0;
+
+  std::vector<RunResult> results;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    probe->calls.clear();
+    const auto cells = Engine(EngineOptions{threads, nullptr, {}}).run(campaign);
+    ASSERT_EQ(cells.size(), 1u);
+    auto calls = probe->calls;
+    std::sort(calls.begin(), calls.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    ASSERT_EQ(calls.size(), 7u);
+    for (int rep = 0; rep < 7; ++rep) {
+      EXPECT_EQ(calls[rep].second, rep);
+      EXPECT_EQ(calls[rep].first,
+                derive_stream(1234, static_cast<std::uint64_t>(rep)));
+    }
+    EXPECT_NEAR(cells[0].result.delay.mean, expected_delay, 1e-15);
+    ASSERT_NE(cells[0].result.extra("rep"), nullptr);
+    EXPECT_DOUBLE_EQ(cells[0].result.extra("rep")->mean, 3.0);  // mean of 0..6
+    results.push_back(cells[0].result);
+  }
+  expect_identical(results[0], results[1]);
 }
 
 TEST(Engine, CacheHitReturnsIdenticalResultWithoutRecompute) {

@@ -15,7 +15,6 @@
 
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
-#include "routing/deflection.hpp"
 #include "routing/greedy_butterfly.hpp"
 #include "routing/greedy_hypercube.hpp"
 #include "workload/permutation.hpp"
@@ -188,25 +187,41 @@ TEST(KernelBackend, ButterflySlottedMatchesScalarExactly) {
   }
 }
 
+// Deflection has one slot loop; backend=soa_batch is accepted and must run
+// it unchanged, pristine and under static arc faults.
 TEST(KernelBackend, DeflectionMatchesScalarExactly) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.08;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 19;
+  for (const double fault_rate : {0.0, 0.05}) {
+    SCOPED_TRACE(fault_rate);
+    Scenario scenario;
+    scenario.scheme = "deflection";
+    scenario.d = 6;
+    scenario.lambda = 0.08;
+    scenario.workload = "uniform";
+    scenario.window = {40.0, 840.0};
+    scenario.plan = {3, 19, 1};
+    if (fault_rate > 0.0) scenario.fault_rate = fault_rate;
 
-  config.backend = KernelBackend::kScalar;
-  DeflectionSim scalar_sim(config);
-  scalar_sim.run(40, 840);
-  config.backend = KernelBackend::kSoaBatch;
-  DeflectionSim soa_sim(config);
-  soa_sim.run(40, 840);
+    scenario.backend = "scalar";
+    const RunResult scalar_result = run(scenario);
+    scenario.backend = "soa_batch";
+    const RunResult soa_result = run(scenario);
 
-  EXPECT_EQ(scalar_sim.delay().mean(), soa_sim.delay().mean());
-  EXPECT_EQ(scalar_sim.hops().mean(), soa_sim.hops().mean());
-  EXPECT_EQ(scalar_sim.deflection_fraction(), soa_sim.deflection_fraction());
-  EXPECT_EQ(scalar_sim.injection_backlog(), soa_sim.injection_backlog());
-  EXPECT_EQ(scalar_sim.deliveries_in_window(), soa_sim.deliveries_in_window());
+    EXPECT_EQ(scalar_result.delay.mean, soa_result.delay.mean);
+    EXPECT_EQ(scalar_result.delay.half_width, soa_result.delay.half_width);
+    EXPECT_EQ(scalar_result.throughput.mean, soa_result.throughput.mean);
+    EXPECT_EQ(scalar_result.mean_hops, soa_result.mean_hops);
+    EXPECT_EQ(scalar_result.mean_final_backlog, soa_result.mean_final_backlog);
+    ASSERT_EQ(scalar_result.extras.size(), soa_result.extras.size());
+    for (std::size_t i = 0; i < scalar_result.extras.size(); ++i) {
+      EXPECT_EQ(scalar_result.extras[i].first, soa_result.extras[i].first);
+      EXPECT_EQ(scalar_result.extras[i].second.mean,
+                soa_result.extras[i].second.mean)
+          << scalar_result.extras[i].first;
+      EXPECT_EQ(scalar_result.extras[i].second.half_width,
+                soa_result.extras[i].second.half_width)
+          << scalar_result.extras[i].first;
+    }
+  }
 }
 
 // The registry path: a full replicated run() must produce the identical

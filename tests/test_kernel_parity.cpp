@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/equivalence.hpp"
@@ -603,6 +604,63 @@ TEST(KernelParity, TopologyTorus3D) {
        0x1.f4fp+13});
 }
 
+// --- deflection on the generic topologies -------------------------------
+//
+// Captured (tool_capture_parity) before the hypercube and topology-
+// parametric deflection loops were merged into one: they pin the
+// metric-descent port rule, uniform_below destinations, the fixed-table
+// path and the 0xDEF2 stream.
+
+std::vector<double> deflection_harvest(const TopologyDeflectionSim& sim) {
+  return {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
+          static_cast<double>(sim.injection_backlog()),
+          static_cast<double>(sim.kernel_stats().deliveries_in_window())};
+}
+
+TopologyDeflectionSim run_topology_deflection(
+    TopologySpec spec, double lambda, std::uint64_t seed,
+    const std::vector<NodeId>* fixed_destinations = nullptr) {
+  TopologyRoutingConfig config;
+  config.spec = std::move(spec);
+  config.lambda = lambda;
+  config.seed = seed;
+  config.fixed_destinations = fixed_destinations;
+  TopologyDeflectionSim sim(config);
+  sim.run(50, 1050);
+  return sim;
+}
+
+TEST(KernelParity, DeflectionRingPapillon) {
+  const auto sim =
+      run_topology_deflection({"ring", 6, "papillon", "4x4"}, 0.6, 43);
+  expect_exact(deflection_harvest(sim),
+               {0x1.3b3a74755916cp+1, 0x1.3b3a74755916cp+1,
+                0x1.36de025862cc7p-5, 0x1.c8p+5, 0x1.2d42p+15});
+}
+
+TEST(KernelParity, DeflectionTorus3D) {
+  const auto sim = run_topology_deflection({"torus", 4, "", "4x4x4"}, 0.6, 47);
+  expect_exact(deflection_harvest(sim),
+               {0x1.b0ac8204ac812p+1, 0x1.b057875457895p+1,
+                0x1.c4b164bf76a74p-5, 0x1.2p+6, 0x1.2d4p+15});
+}
+
+TEST(KernelParity, DeflectionMesh) {
+  const auto sim = run_topology_deflection({"mesh", 4, "", "8x8"}, 0.25, 53);
+  expect_exact(deflection_harvest(sim),
+               {0x1.af2bfa9f665dcp+2, 0x1.a8e1d934d02ddp+2,
+                0x1.a42d1ab5ac6e7p-4, 0x1.64p+6, 0x1.f3ep+13});
+}
+
+TEST(KernelParity, DeflectionRingTornado) {
+  const Permutation tornado = Permutation::tornado(6);
+  const auto sim = run_topology_deflection({"ring", 6, "papillon", "4x4"}, 0.4,
+                                           59, &tornado.table());
+  expect_exact(deflection_harvest(sim),
+               {0x1.a3a430e004723p+1, 0x1.a3a430e004723p+1,
+                0x1.981f5331db197p-5, 0x1.6p+5, 0x1.93f8p+14});
+}
+
 // --- soa_batch backend pins ----------------------------------------------
 //
 // The batch backend replays the slotted suites above against the *same*
@@ -807,25 +865,6 @@ TEST(KernelParity, TraceFileRoundTripReplaysToSamePins) {
       {0x1.929c3188bd2c9p+1, 0x1.3ea22856622e5p+1, 0x1.46ee3527959f8p+6,
        0x1.9b1d0f38bc31dp+4, 0x1.2918p+13});
   std::remove(path.c_str());
-}
-
-// Deflection is slotted by construction (unit-time hops on an integer
-// clock), so the batch backend adopts it without a tau knob.
-TEST(KernelParity, DeflectionSoaBatch) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.05;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 13;
-  config.backend = KernelBackend::kSoaBatch;
-  DeflectionSim sim(config);
-  sim.run(50, 1050);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
-       static_cast<double>(sim.injection_backlog()),
-       static_cast<double>(sim.deliveries_in_window())},
-      {0x1.81734f0c54203p+1, 0x1.81734f0c54203p+1, 0x1.450c0ff29780ap-9,
-       0x1.4p+2, 0x1.8d2p+11});
 }
 
 }  // namespace

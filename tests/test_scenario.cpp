@@ -1,6 +1,6 @@
 // Scenario API tests: textual round trip through the CLI parser, sweep
-// specs, derived quantities, and bit-identical parity between run() and
-// the legacy façade shims.
+// specs, derived quantities, and replicated run() estimates landing inside
+// the paper's brackets.
 
 #include "core/scenario.hpp"
 
@@ -11,7 +11,6 @@
 #include <limits>
 #include <string>
 
-#include "core/simulation.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -500,6 +499,30 @@ TEST(SweepSpec, ValuesGeneratedByIndexNotAccumulation) {
   EXPECT_DOUBLE_EQ(coarse.values().front(), 0.2);
 }
 
+// The point count is bounded while it is still a double: a quotient that
+// overflows to inf, or is merely huge, is rejected before the integer cast
+// and before any allocation.
+TEST(SweepSpec, ValuesRejectAxesOverThePointCap) {
+  const auto expect_cap_error = [](const SweepSpec& sweep) {
+    try {
+      (void)sweep.values();
+      FAIL() << "expected ScenarioError";
+    } catch (const ScenarioError& error) {
+      EXPECT_NE(std::string(error.what()).find("10000"), std::string::npos)
+          << error.what();
+    }
+  };
+  // (stop - start) / step = 1e600: inf as a double.
+  expect_cap_error(SweepSpec::parse("rho=0:1e300:1e-300"));
+  // Finite but far over the cap (about 9e8 points).
+  expect_cap_error(SweepSpec::parse("rho=0:0.9:1e-9"));
+  // One point over: indices 0..10000.
+  expect_cap_error(SweepSpec::parse("d=0:10000:1"));
+  // Exactly at the cap is allowed.
+  EXPECT_EQ(SweepSpec::parse("d=0:9999:1").values().size(),
+            static_cast<std::size_t>(SweepSpec::kMaxPoints));
+}
+
 TEST(RunResult, BracketAndExtraLookup) {
   RunResult result;
   result.extras.emplace_back("makespan", ConfidenceInterval{7.0, 0.5, 0.95});
@@ -643,79 +666,103 @@ TEST(SweepSpec, StormRateIsSweepable) {
   EXPECT_DOUBLE_EQ(scenario.storm_rate, 0.05);
 }
 
-// --- parity with the legacy façade (bit-identical, same seeds/plan) ------
+// --- replicated estimates against the paper's brackets ------------------
 
-TEST(FacadeParity, HypercubeEstimateMatchesScenarioRun) {
-  const bounds::HypercubeParams params{4, 1.0, 0.5};
-  const Window window = Window::for_load(4, 0.5, 500.0);
-  const ReplicationPlan plan{3, 99, 0};
-  const DelayEstimate legacy = estimate_hypercube_delay(params, window, plan);
-
+/// One paper cell: `scheme` on the d-dimensional model under law (1).
+Scenario paper_cell(const char* scheme, int d, double lambda, double p,
+                    const Window& window, const ReplicationPlan& plan) {
   Scenario scenario;
-  scenario.scheme = "hypercube_greedy";
-  scenario.d = params.d;
-  scenario.lambda = params.lambda;
-  scenario.p = params.p;
+  scenario.scheme = scheme;
+  scenario.d = d;
+  scenario.lambda = lambda;
+  scenario.p = p;
   scenario.window = window;
   scenario.plan = plan;
-  const RunResult result = run(scenario);
-
-  EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-  EXPECT_DOUBLE_EQ(legacy.delay.half_width, result.delay.half_width);
-  EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-  EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-  EXPECT_DOUBLE_EQ(legacy.mean_hops, result.mean_hops);
-  EXPECT_DOUBLE_EQ(legacy.max_little_error, result.max_little_error);
-  EXPECT_DOUBLE_EQ(legacy.mean_final_backlog, result.mean_final_backlog);
-  EXPECT_DOUBLE_EQ(legacy.lower_bound, result.lower_bound);
-  EXPECT_DOUBLE_EQ(legacy.upper_bound, result.upper_bound);
-  EXPECT_TRUE(result.has_bounds);
+  return scenario;
 }
 
-TEST(FacadeParity, NetworkQEstimateMatchesScenarioRun) {
-  const bounds::HypercubeParams params{4, 1.0, 0.5};
-  const Window window = Window::for_load(4, 0.5, 400.0);
-  const ReplicationPlan plan{2, 7, 0};
-  for (const bool ps : {false, true}) {
-    const DelayEstimate legacy =
-        estimate_network_q_delay(params, window, plan, ps);
-
-    Scenario scenario;
-    scenario.scheme = ps ? "network_q_ps" : "network_q_fifo";
-    scenario.d = params.d;
-    scenario.lambda = params.lambda;
-    scenario.p = params.p;
-    scenario.window = window;
-    scenario.plan = plan;
-    const RunResult result = run(scenario);
-
-    EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-    EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-    EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-    EXPECT_DOUBLE_EQ(legacy.max_little_error, result.max_little_error);
-  }
+TEST(ScenarioRun, WindowHeuristicScalesWithLoadAndDimension) {
+  const auto light = Window::for_load(4, 0.2, 1000.0);
+  const auto heavy = Window::for_load(4, 0.95, 1000.0);
+  const auto big = Window::for_load(12, 0.2, 1000.0);
+  EXPECT_LT(light.warmup, heavy.warmup);
+  EXPECT_LT(light.warmup, big.warmup);
+  EXPECT_DOUBLE_EQ(light.horizon - light.warmup, 1000.0);
+  EXPECT_THROW((void)Window::for_load(4, 1.0, 100.0), ContractViolation);
 }
 
-TEST(FacadeParity, ButterflyEstimateMatchesScenarioRun) {
-  const bounds::ButterflyParams params{4, 0.8, 0.5};
-  const Window window = Window::for_load(4, 0.4, 400.0);
-  const ReplicationPlan plan{2, 11, 0};
-  const DelayEstimate legacy = estimate_butterfly_delay(params, window, plan);
+TEST(ScenarioRun, HypercubeEstimateWithinBrackets) {
+  const bounds::HypercubeParams params{6, 1.2, 0.5};  // rho = 0.6
+  const auto window = Window::for_load(params.d, 0.6, 8000.0);
+  const RunResult estimate = run(paper_cell(
+      "hypercube_greedy", params.d, params.lambda, params.p, window, {8, 2024, 0}));
+  EXPECT_GE(estimate.delay.mean, estimate.lower_bound * 0.97);
+  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
+  EXPECT_DOUBLE_EQ(estimate.lower_bound, bounds::greedy_delay_lower_bound(params));
+  EXPECT_DOUBLE_EQ(estimate.upper_bound, bounds::greedy_delay_upper_bound(params));
+  EXPECT_LT(estimate.max_little_error, 0.05);
+  EXPECT_NEAR(estimate.mean_hops, 3.0, 0.05);
+  EXPECT_GT(estimate.delay.half_width, 0.0);
+}
 
-  Scenario scenario;
-  scenario.scheme = "butterfly_greedy";
-  scenario.d = params.d;
-  scenario.lambda = params.lambda;
-  scenario.p = params.p;
-  scenario.window = window;
-  scenario.plan = plan;
-  const RunResult result = run(scenario);
+TEST(ScenarioRun, HypercubeThroughputMatchesOfferedLoad) {
+  const auto window = Window::for_load(5, 0.5, 5000.0);
+  const RunResult estimate =
+      run(paper_cell("hypercube_greedy", 5, 1.0, 0.5, window, {6, 7, 0}));
+  EXPECT_NEAR(estimate.throughput.mean / (1.0 * 32.0), 1.0, 0.03);
+}
 
-  EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-  EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-  EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-  EXPECT_DOUBLE_EQ(legacy.lower_bound, result.lower_bound);
-  EXPECT_DOUBLE_EQ(legacy.upper_bound, result.upper_bound);
+TEST(ScenarioRun, ButterflyEstimateWithinBrackets) {
+  const auto window = Window::for_load(5, 0.5, 8000.0);  // rho = 0.5
+  const RunResult estimate =
+      run(paper_cell("butterfly_greedy", 5, 1.0, 0.5, window, {8, 99, 0}));
+  EXPECT_GE(estimate.delay.mean, estimate.lower_bound * 0.97);
+  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
+  EXPECT_LT(estimate.max_little_error, 0.05);
+}
+
+TEST(ScenarioRun, SlottedEstimateRespectsSlottedBound) {
+  const bounds::HypercubeParams params{5, 1.0, 0.5};
+  const auto window = Window::for_load(params.d, 0.5, 6000.0);
+  Scenario scenario = paper_cell("hypercube_greedy", params.d, params.lambda,
+                                 params.p, window, {6, 11, 0});
+  scenario.tau = 0.5;
+  const RunResult estimate = run(scenario);
+  EXPECT_DOUBLE_EQ(estimate.upper_bound,
+                   bounds::slotted_delay_upper_bound(params, 0.5));
+  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
+}
+
+TEST(ScenarioRun, NetworkQEstimateMatchesPacketLevel) {
+  const auto window = Window::for_load(5, 0.5, 8000.0);
+  const RunResult direct =
+      run(paper_cell("hypercube_greedy", 5, 1.0, 0.5, window, {6, 31, 0}));
+  Scenario network_q = paper_cell("network_q", 5, 1.0, 0.5, window, {6, 31, 0});
+  network_q.discipline = Discipline::kFifo;
+  const RunResult via_q = run(network_q);
+  EXPECT_NEAR(via_q.delay.mean / direct.delay.mean, 1.0, 0.05);
+}
+
+TEST(ScenarioRun, PsNetworkDelayNearProductFormPrediction) {
+  // Under PS the network is product-form: T~ = dp/(1-rho) exactly (within
+  // simulation noise) — the Prop. 12 upper bound is tight for Q~.
+  const bounds::HypercubeParams params{5, 1.0, 0.5};  // dp/(1-rho) = 5
+  const auto window = Window::for_load(params.d, 0.5, 12000.0);
+  Scenario scenario = paper_cell("network_q", params.d, params.lambda, params.p,
+                                 window, {8, 47, 0});
+  scenario.discipline = Discipline::kPs;
+  const RunResult estimate = run(scenario);
+  EXPECT_NEAR(estimate.delay.mean, bounds::greedy_delay_upper_bound(params), 0.15);
+}
+
+TEST(ScenarioRun, DeterministicForPlanSeed) {
+  const auto window = Window::for_load(4, 0.4, 1000.0);
+  const RunResult a =
+      run(paper_cell("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 1}));
+  const RunResult b =
+      run(paper_cell("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 4}));
+  EXPECT_DOUBLE_EQ(a.delay.mean, b.delay.mean);
+  EXPECT_DOUBLE_EQ(a.population.mean, b.population.mean);
 }
 
 }  // namespace

@@ -298,6 +298,29 @@ TEST(ServeProtocol, GridStreamsOneCellLinePerCellThenASummary) {
   EXPECT_EQ(field(warm[2], "computed")->number, 0.0);
 }
 
+// A grid axis whose point count overflows is an error reply, not a crash
+// or a huge allocation, and the daemon keeps serving.
+TEST(ServeProtocol, GridOverThePointCapIsAnErrorAndServingContinues) {
+  QueryService service({0, nullptr});
+  bool keep_going = false;
+  const auto responses = roundtrip(
+      service,
+      R"({"op":"grid","id":4,"scenario":"hypercube_greedy d=4 measure=100 reps=2",)"
+      R"("axes":["rho=0:1e300:1e-300"]})",
+      &keep_going);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(field(responses[0], "op")->string, "grid");
+  EXPECT_FALSE(field(responses[0], "ok")->boolean);
+  EXPECT_NE(field(responses[0], "error")->string.find("10000"),
+            std::string::npos);
+  EXPECT_TRUE(keep_going);
+
+  const auto pong = roundtrip(service, R"({"op":"ping","id":5})");
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_TRUE(field(pong[0], "ok")->boolean);
+  EXPECT_EQ(field(pong[0], "id")->number, 5.0);
+}
+
 TEST(ServeProtocol, StatsReportsTheStoreWhenAttached) {
   const std::string path = temp_store("stats.jsonl");
   ResultStore store(path);

@@ -343,6 +343,39 @@ int main() {
           sim.little_check().relative_error(),
           static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
+  {
+    // Hot-potato routing on the generic topologies, captured before the
+    // hypercube and topology-parametric slot loops were merged: they pin
+    // the metric-descent port rule, uniform_below destinations and the
+    // 0xDEF2 stream on rings, tori and meshes.
+    struct Cell {
+      const char* name;
+      TopologySpec spec;
+      double lambda;
+      std::uint64_t seed;
+      bool tornado;
+    };
+    const Cell cells[] = {
+        {"deflection_ring_papillon", {"ring", 6, "papillon", "4x4"}, 0.6, 43, false},
+        {"deflection_torus", {"torus", 4, "", "4x4x4"}, 0.6, 47, false},
+        {"deflection_mesh", {"mesh", 4, "", "8x8"}, 0.25, 53, false},
+        {"deflection_ring_tornado", {"ring", 6, "papillon", "4x4"}, 0.4, 59, true},
+    };
+    const Permutation tornado = Permutation::tornado(6);
+    for (const Cell& cell : cells) {
+      TopologyRoutingConfig c;
+      c.spec = cell.spec;
+      c.lambda = cell.lambda;
+      c.seed = cell.seed;
+      if (cell.tornado) c.fixed_destinations = &tornado.table();
+      TopologyDeflectionSim sim(c);
+      sim.run(50, 1050);
+      emit(cell.name,
+           {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
+            static_cast<double>(sim.injection_backlog()),
+            static_cast<double>(sim.kernel_stats().deliveries_in_window())});
+    }
+  }
   for (const auto discipline : {Discipline::kFifo, Discipline::kPs}) {
     auto config = make_hypercube_network_q(5, 1.0, 0.5, discipline, 19);
     config.track_per_server = true;
