@@ -5,6 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "core/campaign.hpp"
 #include "core/equivalence.hpp"
@@ -13,6 +16,7 @@
 #include "queueing/levelled_network.hpp"
 #include "queueing/ps_server.hpp"
 #include "routing/greedy_hypercube.hpp"
+#include "store/result_store.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 
@@ -330,6 +334,57 @@ void BM_CampaignVsSerial(benchmark::State& state) {
   state.counters["speedup_vs_serial"] = best_serial_s / best_campaign_s;
 }
 BENCHMARK(BM_CampaignVsSerial)->Unit(benchmark::kMillisecond)->Iterations(3);
+
+// Opening a result store of N records, the daemon's start-up cost.  The
+// file holds N distinct cells written by the store's own record writer,
+// each with the six extras a fault-capable hypercube cell reports, so the
+// lines take the loader's direct path.  us_per_record is the mean wall
+// time of one open divided by N.
+void BM_StoreLoad(benchmark::State& state) {
+  const auto records = static_cast<int>(state.range(0));
+  const std::string path = "micro_engine_store_load.jsonl";
+  {
+    RunResult result;
+    result.rho = 0.6;
+    result.delay = {5.123456789012345, 0.0123};
+    result.population = {31.75, 0.5};
+    result.throughput = {6.0001, 0.002};
+    result.mean_hops = 4.000000000000001;
+    result.max_little_error = 1.25e-3;
+    result.mean_final_backlog = 30.5;
+    result.has_bounds = true;
+    result.lower_bound = 4.5;
+    result.upper_bound = 7.25;
+    for (const char* name : {"delivery_ratio", "mean_stretch", "delay_p50",
+                             "delay_p99", "fault_drops", "buffer_drops"}) {
+      result.extras.emplace_back(name, ConfidenceInterval{1.0 / 3.0, 0.0});
+    }
+    std::ofstream out(path, std::ios::trunc);
+    for (int i = 0; i < records; ++i) {
+      Scenario scenario = Scenario::parse_text("hypercube_greedy d=8 rho=0.6 reps=4");
+      scenario.plan.base_seed = static_cast<std::uint64_t>(i) + 1;
+      scenario = scenario.resolved();
+      result.delay.mean += 1e-3;
+      out << store_record_json(ResultCache::key(scenario), scenario, result) << '\n';
+    }
+  }
+  using clock = std::chrono::steady_clock;
+  double total_s = 0.0;
+  for (auto _ : state) {
+    const auto start = clock::now();
+    const ResultStore store(path);
+    total_s += std::chrono::duration<double>(clock::now() - start).count();
+    if (store.size() != static_cast<std::size_t>(records)) {
+      state.SkipWithError("store loaded the wrong number of records");
+      break;
+    }
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations() * records);
+  state.counters["us_per_record"] =
+      1e6 * total_s / (static_cast<double>(state.iterations()) * records);
+}
+BENCHMARK(BM_StoreLoad)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 void BM_LevelledNetworkQ(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));

@@ -810,7 +810,18 @@ const std::vector<std::string>& SweepSpec::known_keys() {
 
 void apply_sweep_value(Scenario& scenario, const std::string& key, double value) {
   if (key == "d" || key == "fanout" || key == "reps" || key == "seed") {
-    scenario.set(key, std::to_string(std::llround(value)));
+    // Bound the double before rounding: std::llround of a value outside
+    // long long's range is unspecified (x86 gives INT64_MIN).  Seeds are
+    // unsigned 64-bit, so they get that range instead.
+    const bool seed = key == "seed";
+    const bool in_range = seed ? value > -0.5 && value < 0x1p64
+                               : value > -0x1p63 && value < 0x1p63;
+    if (!in_range) {
+      throw ScenarioError("bad value '" + fmt_shortest(value) + "' for key '" + key +
+                          "': outside the integer range");
+    }
+    scenario.set(key, seed ? std::to_string(static_cast<std::uint64_t>(std::round(value)))
+                           : std::to_string(std::llround(value)));
   } else {
     scenario.set(key, fmt_shortest(value));
   }

@@ -396,8 +396,10 @@ struct SweepSpec {
   [[nodiscard]] static const std::vector<std::string>& known_keys();
 };
 
-/// Applies one swept value to a scenario (rho adjusts lambda; d, fanout and
-/// reps round to the nearest integer).
+/// Applies one swept value to a scenario (rho adjusts lambda; d, fanout,
+/// reps and seed round to the nearest integer).  Throws ScenarioError,
+/// naming the value, when an integer key's value lies outside the integer
+/// range (seed: [0, 2^64); the others: that of long long).
 void apply_sweep_value(Scenario& scenario, const std::string& key, double value);
 
 }  // namespace routesim

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "des/kernel_backend.hpp"
 #include "routing/deflection.hpp"
 #include "util/assert.hpp"
 #include "workload/permutation.hpp"
@@ -169,8 +170,17 @@ TopologySpec generic_spec(const Scenario& s, const std::string& name) {
 std::string validated_generic_name(const Scenario& s) {
   const std::string name =
       s.resolved_topology({"hypercube", "ring", "torus", "mesh"});
-  (void)s.resolved_fault_policy({});  // faults are native-only
-  (void)s.resolved_backend({});       // scalar-only: reject soa_batch
+  // Faults and the soa_batch backend are hypercube/butterfly-native: a
+  // scheme may take them there and still not here, so the error names the
+  // topology.
+  if (s.faults_active()) {
+    throw ScenarioError("scheme '" + s.scheme + "' does not support fault injection on topology=" +
+                        name + " (faults run on the hypercube and butterfly only)");
+  }
+  if (s.resolved_backend({KernelBackend::kSoaBatch}) != KernelBackend::kScalar) {
+    throw ScenarioError("scheme '" + s.scheme + "' does not support backend '" + s.backend +
+                        "' on topology=" + name + " (supported: scalar)");
+  }
   if (s.workload == "permutation") {
     if (name != "ring") {
       throw ScenarioError(

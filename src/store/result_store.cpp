@@ -92,12 +92,118 @@ bool read_interval(const json::Value& object, const std::string& name,
 }
 
 /// "scheme key=value ..." -> Scenario; false on malformed text.
-bool scenario_from_text(const std::string& text, Scenario* out) {
+bool scenario_from_text(std::string_view text, Scenario* out) {
   try {
     *out = Scenario::parse_text(text);
   } catch (const ScenarioError&) {
     return false;
   }
+  return true;
+}
+
+/// A cursor over one line that accepts only the bytes append_store_record()
+/// writes.  Every read returns false on any other byte.
+class RecordReader {
+ public:
+  explicit RecordReader(std::string_view line) : line_(line) {}
+
+  [[nodiscard]] bool at_end() const { return pos_ == line_.size(); }
+
+  bool literal(std::string_view text) {
+    if (line_.compare(pos_, text.size(), text) != 0) return false;
+    pos_ += text.size();
+    return true;
+  }
+
+  /// The rest of a string whose opening quote was already read.  A string
+  /// with no backslash or control byte is its own bytes, so the view points
+  /// into the line.
+  bool string_tail(std::string_view* out) {
+    const std::size_t end = line_.find('"', pos_);
+    if (end == std::string_view::npos) return false;
+    // Branch-free over the span, so the compiler can vectorise the check.
+    bool plain = true;
+    for (std::size_t i = pos_; i < end; ++i) {
+      const auto c = static_cast<unsigned char>(line_[i]);
+      plain &= (c >= 0x20) & (c != '\\');
+    }
+    if (!plain) return false;
+    *out = line_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    return true;
+  }
+
+  /// One append_exact_number() emission.
+  bool number(double* out) {
+    if (pos_ < line_.size() && line_[pos_] == '"') {
+      if (literal("\"nan\"")) {
+        *out = std::nan("");
+      } else if (literal("\"inf\"")) {
+        *out = std::numeric_limits<double>::infinity();
+      } else if (literal("\"-inf\"")) {
+        *out = -std::numeric_limits<double>::infinity();
+      } else {
+        return false;
+      }
+      return true;
+    }
+    const std::size_t start = pos_;
+    if (json::scan_number(line_, &pos_) != nullptr) return false;
+    *out = parse_decimal(line_.substr(start, pos_ - start));
+    return true;
+  }
+
+  /// `"name":` followed by a number.
+  bool member(std::string_view name_and_colon, double* out) {
+    return literal(name_and_colon) && number(out);
+  }
+
+ private:
+  std::string_view line_;
+  std::size_t pos_ = 0;
+};
+
+/// append_result_json()'s object, member for member.
+bool read_result(RecordReader& in, RunResult* out) {
+  RunResult result;
+  if (!in.member("{\"rho\":", &result.rho) ||
+      !in.member(",\"delay_mean\":", &result.delay.mean) ||
+      !in.member(",\"delay_half_width\":", &result.delay.half_width) ||
+      !in.member(",\"population_mean\":", &result.population.mean) ||
+      !in.member(",\"population_half_width\":", &result.population.half_width) ||
+      !in.member(",\"throughput_mean\":", &result.throughput.mean) ||
+      !in.member(",\"throughput_half_width\":", &result.throughput.half_width) ||
+      !in.member(",\"mean_hops\":", &result.mean_hops) ||
+      !in.member(",\"max_little_error\":", &result.max_little_error) ||
+      !in.member(",\"mean_final_backlog\":", &result.mean_final_backlog)) {
+    return false;
+  }
+  if (in.literal(",\"has_bounds\":true")) {
+    result.has_bounds = true;
+  } else if (!in.literal(",\"has_bounds\":false")) {
+    return false;
+  }
+  if (!in.member(",\"lower_bound\":", &result.lower_bound) ||
+      !in.member(",\"upper_bound\":", &result.upper_bound) ||
+      !in.literal(",\"extras\":{")) {
+    return false;
+  }
+  if (!in.literal("}")) {
+    do {
+      std::string_view name;
+      ConfidenceInterval interval;
+      if (!in.literal("\"") || !in.string_tail(&name) ||
+          !in.member(":{\"mean\":", &interval.mean) ||
+          !in.member(",\"half_width\":", &interval.half_width) ||
+          !in.literal("}")) {
+        return false;
+      }
+      result.extras.emplace_back(name, interval);
+    } while (in.literal(","));
+    if (!in.literal("}")) return false;
+  }
+  if (!in.literal("}")) return false;
+  *out = std::move(result);
   return true;
 }
 
@@ -189,6 +295,19 @@ bool result_from_json(const json::Value& value, RunResult* out) {
   return true;
 }
 
+bool read_store_record(std::string_view line, StoreRecordView* out) {
+  RecordReader in(line);
+  double version = 0.0;
+  if (!in.member("{\"v\":", &version) || version != kResultStoreVersion ||
+      !in.literal(",\"key\":\"") || !in.string_tail(&out->key) ||
+      out->key.empty() || !in.literal(",\"scenario\":\"") ||
+      !in.string_tail(&out->scenario) || !in.literal(",\"result\":") ||
+      !read_result(in, &out->result) || !in.literal("}")) {
+    return false;
+  }
+  return in.at_end();
+}
+
 std::string store_record_json(const std::string& key, const Scenario& scenario,
                               const RunResult& result) {
   std::string out;
@@ -220,6 +339,25 @@ ResultStore::~ResultStore() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+bool ResultStore::upsert(std::string_view key, std::string_view scenario_text,
+                         RunResult&& result) {
+  const auto [it, inserted] = index_.try_emplace(std::string(key));
+  Entry& entry = it->second;
+  entry.scenario_is_key = scenario_text == key;
+  entry.scenario_text.assign(entry.scenario_is_key ? std::string_view() : scenario_text);
+  entry.result = std::move(result);
+  if (inserted) order_.push_back(&*it);
+  return inserted;
+}
+
+void ResultStore::load_record(std::string_view key, std::string_view scenario_text,
+                              RunResult&& result) {
+  if (!upsert(key, scenario_text, std::move(result))) {
+    ++stats_.duplicate_keys;  // append-only history: last record wins
+  }
+  ++stats_.records_loaded;
+}
+
 bool ResultStore::apply_record(const json::Value& record) {
   if (!record.is_object()) return false;
   const json::Value* version = record.find("v");
@@ -235,20 +373,13 @@ bool ResultStore::apply_record(const json::Value& record) {
     ++stats_.skipped_version;
     return true;  // a well-formed record we must not interpret — not garbage
   }
-  Entry entry;
-  if (!result_from_json(*result_value, &entry.result)) return false;
-  if (const json::Value* scenario = record.find("scenario");
-      scenario != nullptr && scenario->is_string()) {
-    entry.scenario_text = scenario->string;
-  }
-  const auto [it, inserted] = index_.insert_or_assign(key->string, std::move(entry));
-  (void)it;
-  if (inserted) {
-    order_.push_back(key->string);
-  } else {
-    ++stats_.duplicate_keys;  // append-only history: last record wins
-  }
-  ++stats_.records_loaded;
+  RunResult result;
+  if (!result_from_json(*result_value, &result)) return false;
+  const json::Value* scenario = record.find("scenario");
+  load_record(key->string,
+              scenario != nullptr && scenario->is_string() ? scenario->string
+                                                           : std::string_view(),
+              std::move(result));
   return true;
 }
 
@@ -257,12 +388,20 @@ void ResultStore::load_existing() {
   if (!in) return;  // no file yet: an empty store
   // Line by line: memory stays at the index plus one line, never a second
   // copy of the whole file.
+  StoreRecordView direct;
   for (std::string line; std::getline(in, line);) {
     // getline stops at the file's end without a '\n' only on the last line.
     const bool has_newline = !in.eof();
     if (!has_newline) tail_unterminated_ = true;
 
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    // The writer's own lines take the direct reader; any other spelling
+    // goes through the general JSON path, which also classifies garbage
+    // and version skips.
+    if (read_store_record(line, &direct)) {
+      load_record(direct.key, direct.scenario, std::move(direct.result));
+      continue;
+    }
     json::Value record;
     const bool parsed = json::parse(line, &record) && apply_record(record);
     if (!parsed) {
@@ -320,14 +459,13 @@ bool ResultStore::fetch(const std::string& key, RunResult* out) {
 void ResultStore::persist(const std::string& key, const Scenario& scenario,
                           const RunResult& result) {
   StoreMetrics::get().persists.add();
-  std::string scenario_text = scenario.to_string();
+  const std::string scenario_text = scenario.to_string();
   std::string line;
   line.reserve(key.size() + scenario_text.size() + 512);
   append_store_record(line, key, scenario_text, result);
   line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(key) == index_.end()) order_.push_back(key);
-  index_.insert_or_assign(key, Entry{std::move(scenario_text), result});
+  upsert(key, scenario_text, RunResult(result));
   if (file_ == nullptr) return;  // unopenable store: in-memory tier only
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
@@ -354,7 +492,10 @@ std::size_t ResultStore::size() const {
 
 std::vector<std::string> ResultStore::keys() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return order_;
+  std::vector<std::string> keys;
+  keys.reserve(order_.size());
+  for (const Index::value_type* node : order_) keys.push_back(node->first);
+  return keys;
 }
 
 std::uint64_t ResultStore::hits() const {
@@ -370,9 +511,11 @@ std::uint64_t ResultStore::misses() const {
 bool ResultStore::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string content;
-  for (const std::string& key : order_) {
-    const Entry& entry = index_.at(key);
-    append_store_record(content, key, entry.scenario_text, entry.result);
+  for (const auto* node : order_) {
+    const auto& [key, entry] = *node;
+    append_store_record(content, key,
+                        entry.scenario_is_key ? key : entry.scenario_text,
+                        entry.result);
     content += '\n';
   }
   if (!write_file_atomic(path_, content)) return false;
@@ -398,8 +541,17 @@ std::size_t replay_results(
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
   std::size_t consumed = 0;
+  StoreRecordView direct;
   for (std::string line; std::getline(in, line);) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (read_store_record(line, &direct)) {
+      Scenario scenario;
+      if (scenario_from_text(direct.scenario, &scenario)) {
+        consume(std::string(direct.key), scenario, direct.result);
+        ++consumed;
+      }
+      continue;
+    }
     json::Value record;
     if (!json::parse(line, &record) || !record.is_object()) continue;
 

@@ -21,6 +21,9 @@
 ///     rewrites history — compact() folds it);
 ///   - records whose "v" field is not kResultStoreVersion are skipped, so a
 ///     future format change cannot be misread as data.
+/// Lines the store wrote itself take read_store_record(), which builds no
+/// DOM; any other spelling takes the general JSON reader, so the rules
+/// above hold the same on both paths.
 ///
 /// Numbers round-trip *bit-identically*: finite doubles are written in
 /// fmt_shortest() form (util/number_codec.hpp: the first of %.1g, %.3g,
@@ -42,6 +45,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,6 +72,24 @@ void append_result_json(std::string& out, const RunResult& result);
 /// non-finites read back as NaN).  Returns false when the core metric
 /// fields are absent or malformed.
 [[nodiscard]] bool result_from_json(const json::Value& value, RunResult* out);
+
+/// One store record as read_store_record() gives it.  `key` and `scenario`
+/// point into the line that was read.
+struct StoreRecordView {
+  std::string_view key;
+  std::string_view scenario;
+  RunResult result;
+};
+
+/// The direct reader for store record lines: the exact inverse of the
+/// writer for kResultStoreVersion.  It takes the writer's members in the
+/// writer's order with no whitespace, strings with no backslash or control
+/// byte, JSON-grammar numbers or "nan"/"inf"/"-inf", and nothing after the
+/// closing brace; no DOM is built.  On any other byte it returns false,
+/// and the line needs json::parse() and result_from_json(), which read any
+/// JSON spelling.  When it returns true, the key, scenario text and result
+/// equal what that path gives, bit for bit.
+[[nodiscard]] bool read_store_record(std::string_view line, StoreRecordView* out);
 
 /// One full store record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string store_record_json(const std::string& key,
@@ -124,12 +146,22 @@ class ResultStore final : public ResultBackend {
 
  private:
   struct Entry {
+    /// Empty when the scenario text equals the key, as it does on every
+    /// record the engine writes: memory holds one copy of each key.
     std::string scenario_text;
+    bool scenario_is_key = false;
     RunResult result;
   };
+  using Index = std::unordered_map<std::string, Entry>;
 
   void load_existing();  ///< constructor helper; fills index_ + stats_
-  bool apply_record(const json::Value& record);
+  bool apply_record(const json::Value& record);  ///< the general-JSON path
+  /// Applies one loaded record: last wins, counted in stats_.
+  void load_record(std::string_view key, std::string_view scenario_text,
+                   RunResult&& result);
+  /// Inserts or overwrites `key`'s entry; true when the key is new.
+  bool upsert(std::string_view key, std::string_view scenario_text,
+              RunResult&& result);
 
   mutable std::mutex mutex_;
   std::string path_;
@@ -138,8 +170,10 @@ class ResultStore final : public ResultBackend {
   /// terminates it so appends never merge into the existing tail.
   bool tail_unterminated_ = false;
   std::FILE* file_ = nullptr;
-  std::unordered_map<std::string, Entry> index_;
-  std::vector<std::string> order_;  ///< keys in first-seen order
+  Index index_;
+  /// Entries in first-seen key order.  Node addresses of an unordered_map
+  /// survive rehashing, and nothing is ever erased from index_.
+  std::vector<const Index::value_type*> order_;
   LoadStats stats_{};
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -15,6 +15,39 @@ const Value* Value::find(std::string_view key) const {
   return found;
 }
 
+const char* scan_number(std::string_view text, std::size_t* pos) {
+  // strtod and from_chars accept more than JSON does (hex, "inf", a
+  // leading '+', ...), so the span is checked here before any conversion.
+  std::size_t at = *pos;
+  const auto digit_run = [&] {
+    const std::size_t first = at;
+    while (at < text.size() && text[at] >= '0' && text[at] <= '9') ++at;
+    return at - first;
+  };
+  if (at < text.size() && text[at] == '-') ++at;
+  const std::size_t integer_start = at;
+  const std::size_t digits = digit_run();
+  if (digits == 0) return "expected a value";
+  if (digits > 1 && text[integer_start] == '0') return "leading zero in number";
+  if (at < text.size() && text[at] == '.') {
+    ++at;
+    if (digit_run() == 0) {
+      *pos = at;
+      return "digits required after decimal point";
+    }
+  }
+  if (at < text.size() && (text[at] == 'e' || text[at] == 'E')) {
+    ++at;
+    if (at < text.size() && (text[at] == '+' || text[at] == '-')) ++at;
+    if (digit_run() == 0) {
+      *pos = at;
+      return "digits required in exponent";
+    }
+  }
+  *pos = at;
+  return nullptr;
+}
+
 namespace {
 
 /// Recursive-descent parser state over one immutable text buffer.
@@ -108,43 +141,10 @@ class Parser {
   }
 
   bool parse_number(Value* out) {
-    // Validate the JSON number grammar first (strtod and from_chars accept
-    // more: hex, "inf", leading '+', ...), then convert the exact same span
-    // in place so fmt_shortest() emissions round-trip bit-identically.
+    // Check the grammar, then convert the exact same span in place, so
+    // fmt_shortest() emissions round-trip bit-identically.
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    std::size_t digits = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) {
-      pos_ = start;
-      return fail("expected a value");
-    }
-    if (digits > 1 && text_[start + (text_[start] == '-' ? 1u : 0u)] == '0') {
-      pos_ = start;
-      return fail("leading zero in number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      std::size_t fraction = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++fraction;
-      }
-      if (fraction == 0) return fail("digits required after decimal point");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      std::size_t exponent = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++exponent;
-      }
-      if (exponent == 0) return fail("digits required in exponent");
-    }
+    if (const char* reason = scan_number(text_, &pos_)) return fail(reason);
     out->type = Value::Type::kNumber;
     out->number = parse_decimal(text_.substr(start, pos_ - start));
     return true;

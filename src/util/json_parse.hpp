@@ -57,4 +57,10 @@ struct Value {
 [[nodiscard]] bool parse(std::string_view text, Value* out,
                          std::string* error = nullptr);
 
+/// Checks the JSON number grammar at `text[*pos]`.  On success, advances
+/// `*pos` past the number and returns nullptr; the span may then go to
+/// parse_decimal().  Otherwise returns the reason and leaves `*pos` at the
+/// offending byte.  parse() and the result store's record reader share it.
+[[nodiscard]] const char* scan_number(std::string_view text, std::size_t* pos);
+
 }  // namespace routesim::json

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 
+#include "core/campaign.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -259,6 +260,25 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
   faulty.measure = 50.0;
   EXPECT_THROW((void)compile(faulty), ScenarioError);
 
+  // Deflection takes soa_batch and faults on the hypercube, so on the ring
+  // the rejection must say the topology is what rules them out.
+  const auto expect_names_ring = [&](const Scenario& scenario) {
+    try {
+      (void)compile(scenario);
+      FAIL() << "expected ScenarioError";
+    } catch (const ScenarioError& error) {
+      EXPECT_NE(std::string(error.what()).find("ring"), std::string::npos)
+          << error.what();
+    }
+  };
+  Scenario deflection_soa = soa;
+  deflection_soa.scheme = "deflection";
+  expect_names_ring(deflection_soa);
+  expect_names_ring(Scenario::parse_text("deflection topology=ring backend=soa_batch"));
+  Scenario deflection_faulty = faulty;
+  deflection_faulty.scheme = "deflection";
+  expect_names_ring(deflection_faulty);
+
   // The default bit_flip workload has no meaning off the hypercube.
   Scenario bitflip;
   bitflip.scheme = "hypercube_greedy";
@@ -466,6 +486,50 @@ TEST(SweepSpec, ApplySweepValueRoundsIntegerKeys) {
   EXPECT_EQ(scenario.d, 8);
   apply_sweep_value(scenario, "rho", 0.6);
   EXPECT_DOUBLE_EQ(scenario.resolved().lambda, 1.2);
+}
+
+// Integer keys are bounded on the double before rounding, and the error
+// names the value as swept, not what an out-of-range llround made of it.
+TEST(SweepSpec, ApplySweepValueRejectsIntegersOutOfRange) {
+  const auto expect_range_error = [](const std::string& key, double value,
+                                     const std::string& spelled) {
+    Scenario scenario;
+    try {
+      apply_sweep_value(scenario, key, value);
+      FAIL() << "expected ScenarioError for " << key << "=" << spelled;
+    } catch (const ScenarioError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("'" + spelled + "'"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+      EXPECT_EQ(message.find("-9223372036854775808"), std::string::npos) << message;
+    }
+  };
+  for (const std::string key : {"seed", "d", "reps"}) {
+    expect_range_error(key, 1e300, "1e+300");
+    expect_range_error(key, -1e300, "-1e+300");
+    expect_range_error(key, std::numeric_limits<double>::infinity(), "inf");
+    expect_range_error(key, std::numeric_limits<double>::quiet_NaN(), "nan");
+  }
+  expect_range_error("d", 0x1p63, "9.2233720368547758e+18");
+  expect_range_error("seed", -1.0, "-1");
+  expect_range_error("seed", 0x1p64, "1.8446744073709552e+19");
+
+  // Seeds are unsigned 64-bit: values past long long's range still apply.
+  Scenario scenario;
+  apply_sweep_value(scenario, "seed", 1e19);
+  EXPECT_EQ(scenario.plan.base_seed, 10000000000000000000ull);
+  apply_sweep_value(scenario, "reps", 3.4);
+  EXPECT_EQ(scenario.plan.replications, 3);
+
+  // The grid path reports the first value out of range.
+  Scenario base;
+  try {
+    (void)Campaign("seeds").grid(base, {SweepSpec::parse("seed=0:1e300:1e299")});
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    EXPECT_NE(std::string(error.what()).find("'1e+299'"), std::string::npos)
+        << error.what();
+  }
 }
 
 // values() generates by index (start + i*step), so later points carry no

@@ -14,6 +14,10 @@ production contracts that unit tests cannot see from inside the process:
                  answered entirely from cache (and faster), a *restarted*
                  daemon answers from the store — verified via the stats
                  op's cache_hits / store_hits / computed counters
+  reload         a daemon restarted over a store that also holds one
+                 record re-serialized with spaces and one garbage line
+                 reports both in its load line and answers the
+                 re-serialized key from the store with the computed numbers
   throughput     warm queries clear a conservative latency floor
 
 Usage:  python3 tools/production_test.py [--build BUILDDIR]
@@ -49,6 +53,10 @@ SERVE_SCENARIOS = [
     "hypercube_greedy d=5 rho=0.5 measure=300 reps=2 seed=22",
     "butterfly_greedy d=4 rho=0.4 measure=300 reps=2 seed=23",
 ]
+
+
+# Scenario text -> the "result" object of its computed (cold) reply.
+COMPUTED = {}
 
 
 class CheckFailure(AssertionError):
@@ -226,6 +234,7 @@ def check_serve_rounds(bench, serve, tmp):
                     "cold query failed: %r" % response)
             require(response.get("source") == "computed",
                     "cold query source %r, want computed" % response.get("source"))
+            COMPUTED[scenario] = response.get("result")
         cold_seconds = time.monotonic() - t0
 
         t0 = time.monotonic()
@@ -285,6 +294,57 @@ def check_restart_serves_from_store(bench, serve, tmp):
         daemon.kill()
 
 
+def check_restart_over_reserialized_record(bench, serve, tmp):
+    """Lines the store did not write itself still load, last-wins."""
+    source = os.path.join(tmp, "serve_store.jsonl")
+    store = os.path.join(tmp, "reserialized_store.jsonl")
+    with open(source, "rb") as handle:
+        canonical = [line for line in handle.read().split(b"\n") if line.strip()]
+    require(len(canonical) == len(SERVE_SCENARIOS),
+            "serve store holds %d records, want %d"
+            % (len(canonical), len(SERVE_SCENARIOS)))
+    require(len(COMPUTED) == len(SERVE_SCENARIOS),
+            "no computed answers from the cold round")
+    # json.dumps puts a space after every ':' and ',', and writes floats
+    # with repr(), which reads back as the same double.  The daemon's
+    # direct reader declines such a line; the general JSON reader takes it,
+    # and as the later record for its key it wins.
+    record = json.loads(canonical[0])
+    reserialized = json.dumps(record).encode()
+    require(b", " in reserialized and reserialized not in canonical,
+            "re-serialized record is not respaced")
+    with open(store, "wb") as handle:
+        handle.write(b"\n".join(canonical + [reserialized, b"not a record"]) + b"\n")
+
+    daemon = Daemon(serve, store)
+    try:
+        response = daemon.rpc({"op": "ping"})
+        require(response.get("ok") is True, "bad ping response: %r" % response)
+        # The load line is the daemon's first stderr line, written in full
+        # before it answers anything.
+        load_line = daemon.proc.stderr.readline()
+        expected = ("%d results (%d records, 1 superseded, 1 garbage, "
+                    "0 version-skipped)" % (len(canonical), len(canonical) + 1))
+        require(expected in load_line,
+                "load line %r lacks %r" % (load_line, expected))
+        keys = []
+        for scenario in SERVE_SCENARIOS:
+            response = daemon.rpc({"op": "query", "scenario": scenario})
+            require(response.get("source") == "store",
+                    "answered from %r, want store" % response.get("source"))
+            require(response.get("result") == COMPUTED[scenario],
+                    "stored numbers differ from the computed ones for %r"
+                    % scenario)
+            keys.append(response.get("key"))
+        require(record["key"] in keys,
+                "re-serialized key %r was never queried" % record["key"])
+        daemon.shutdown()
+        print("  %s; the re-serialized key answers from the store"
+              % load_line.strip())
+    finally:
+        daemon.kill()
+
+
 def check_warm_throughput(bench, serve, tmp):
     """Warm answers are metadata work only: hold a conservative floor."""
     store = os.path.join(tmp, "serve_store.jsonl")
@@ -316,6 +376,8 @@ CHECKS = [
     ("kill mid-campaign, then resume", check_kill_and_resume),
     ("serve: cold computes, warm hits cache", check_serve_rounds),
     ("serve: restart answers from store", check_restart_serves_from_store),
+    ("serve: restart over a re-serialized record and garbage",
+     check_restart_over_reserialized_record),
     ("serve: warm throughput floor", check_warm_throughput),
 ]
 
